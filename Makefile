@@ -39,9 +39,12 @@ experiments:
 	$(GO) test -run Experiment ./...
 
 # Executor parity: every query shape must produce identical output on the
-# interpreted, compiled and vectorized executors, under the race detector.
+# interpreted, compiled and vectorized executors, under the race detector —
+# with literals and with the same constants bound as $N parameters (the
+# derived twins, the parameter-vs-literal stats gate, kind-mismatched and
+# NULL parameters, $N deparse round trips).
 parity:
-	$(GO) test -race -run 'TestVectorized|TestTierParity' ./internal/sqlexec/
+	$(GO) test -race -run 'TestVectorized|TestTierParity|TestParam|TestDeparseParams' ./internal/sqlexec/
 
 # Fault injection under the race detector: node crashes, link partitions,
 # replica failover, idempotent commit retries and shared-log hole repair.

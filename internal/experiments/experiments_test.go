@@ -263,8 +263,9 @@ func TestE20ShapeProfileOverhead(t *testing.T) {
 		t.Fatalf("no operators timed: %v", tab.Rows[1])
 	}
 	// The acceptance bound: profiling must cost under 10% of wall time.
-	// E20 measures best-of-N over >=120k rows precisely so this holds even
-	// at tiny scale, where single-run timings would be too noisy.
+	// E20 takes the median of interleaved plain/profiled pairs over >=120k
+	// rows precisely so this holds even at tiny scale, where single-run
+	// timings would be too noisy.
 	var overhead float64
 	if _, err := fmt.Sscanf(cell(tab, 1, 2), "%f%%", &overhead); err != nil {
 		t.Fatalf("unparseable overhead %q: %v", cell(tab, 1, 2), err)

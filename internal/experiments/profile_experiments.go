@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 	"time"
 
 	"repro/internal/sqlexec"
@@ -42,32 +44,40 @@ func E20ProfileOverhead(s Scale) *Table {
 	eng.Mode = sqlexec.ModeVectorized
 
 	const q = `SELECT grp, COUNT(*), SUM(v) FROM pfact WHERE v < 900 GROUP BY grp`
-	const reps = 6
-	// Best-of-N: the minimum is robust against scheduler noise, which at
-	// sub-millisecond walls otherwise swamps the effect being measured.
-	best := func(run func()) time.Duration {
-		lo := time.Duration(1<<63 - 1)
-		for r := 0; r < reps; r++ {
-			st := time.Now()
-			run()
-			if d := time.Since(st); d < lo {
-				lo = d
-			}
-		}
-		return lo
+	const pairs = 21
+	// The two variants run as interleaved pairs, each run from a fresh GC,
+	// and the overhead is the median of the per-pair ratios: on a shared
+	// machine the wall time of one run swings by tens of percent, but the
+	// two halves of a pair see the same load, so their ratio stays put
+	// where a best-of-N over separate blocks does not.
+	timed := func(run func()) time.Duration {
+		runtime.GC()
+		st := time.Now()
+		run()
+		return time.Since(st)
 	}
-
-	plain := best(func() { eng.MustQuery(q) })
+	var plainT, profT []time.Duration
+	var ratios []float64
 	var prof *sqlexec.Profile
-	profiled := best(func() {
-		_, p, err := eng.AnalyzeSQL(q)
-		if err != nil {
-			panic(err)
-		}
-		prof = p
-	})
-
-	overhead := (profiled.Seconds() - plain.Seconds()) / plain.Seconds() * 100
+	for r := 0; r < pairs; r++ {
+		a := timed(func() { eng.MustQuery(q) })
+		b := timed(func() {
+			_, p, err := eng.AnalyzeSQL(q)
+			if err != nil {
+				panic(err)
+			}
+			prof = p
+		})
+		plainT, profT = append(plainT, a), append(profT, b)
+		ratios = append(ratios, (b.Seconds()-a.Seconds())/a.Seconds()*100)
+	}
+	median := func(d []time.Duration) time.Duration {
+		sort.Slice(d, func(i, j int) bool { return d[i] < d[j] })
+		return d[len(d)/2]
+	}
+	plain, profiled := median(plainT), median(profT)
+	sort.Float64s(ratios)
+	overhead := ratios[len(ratios)/2]
 	if overhead < 0 {
 		overhead = 0
 	}
@@ -83,6 +93,6 @@ func E20ProfileOverhead(s Scale) *Table {
 
 	t.AddRow("vectorized", ms(plain), "-", "-")
 	t.AddRow("vectorized + profile", ms(profiled), fmt.Sprintf("%.1f%%", overhead), fmt.Sprint(ops))
-	t.Note("%d rows, best of %d runs each; profiled runs also feed the slow-query log when SlowThreshold is set", n, reps)
+	t.Note("%d rows, median of %d interleaved pairs; profiled runs also feed the slow-query log when SlowThreshold is set", n, pairs)
 	return t
 }

@@ -131,7 +131,8 @@ type ColRef struct {
 	Name string
 }
 
-// Param is a positional ? placeholder.
+// Param is a positional parameter: "?" (numbered left to right) or "$N"
+// (Index N-1). Deparse and EXPLAIN render it as "$N".
 type Param struct{ Index int }
 
 // BinaryExpr is a binary operator application.

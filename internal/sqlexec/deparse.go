@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/columnstore"
@@ -154,7 +155,7 @@ func deparseExpr(e Expr) string {
 		}
 		return x.Name
 	case *Param:
-		return "?"
+		return "$" + strconv.Itoa(x.Index+1)
 	case *BinaryExpr:
 		return "(" + deparseExpr(x.L) + " " + x.Op + " " + deparseExpr(x.R) + ")"
 	case *UnaryExpr:

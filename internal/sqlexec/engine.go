@@ -130,7 +130,7 @@ func (e *Engine) AnalyzeSQL(sql string, params ...value.Value) (*Result, *Profil
 		return nil, nil, fmt.Errorf("sql: EXPLAIN ANALYZE supports only SELECT")
 	}
 	ts := e.Mgr.Now()
-	pl := &Planner{Cat: e.Cat, Reg: e.Reg, Sys: e.Sys, TS: ts, Prune: e.Prune}
+	pl := &Planner{Cat: e.Cat, Reg: e.Reg, Sys: e.Sys, TS: ts, Prune: e.Prune, Params: params}
 	plan, err := pl.BuildSelect(sel)
 	if err != nil {
 		return nil, nil, err
@@ -477,7 +477,7 @@ func (s *Session) execSelect(sel *SelectStmt, params []value.Value) (*Result, er
 	ts := s.snapshotTS()
 	tPlan := time.Now()
 	psp := s.cur.Child("plan")
-	pl := &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: ts, Prune: s.e.Prune}
+	pl := &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: ts, Prune: s.e.Prune, Params: params}
 	plan, err := pl.BuildSelect(sel)
 	psp.Finish()
 	s.e.Obs.Histogram("sql_plan_ms").ObserveSince(tPlan)

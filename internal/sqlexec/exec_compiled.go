@@ -272,7 +272,7 @@ func compileScan(s *ScanPlan, ctx *execCtx) (pipe, error) {
 
 			// Specialized predicate over positions; falls back to the
 			// generic expression evaluator over materialized rows.
-			fastPred, genericPred, err := compileScanPredicate(filterExpr, snap, cols, reg)
+			fastPred, genericPred, err := compileScanPredicate(filterExpr, snap, cols, params, reg)
 			if err != nil {
 				return err
 			}
@@ -421,14 +421,14 @@ func makeIntReader(snap *columnstore.Snapshot, col int) intReader {
 
 // compileScanPredicate splits the pushed filter into position-specialized
 // conjuncts (int comparisons, dictionary equality) and a generic residue.
-func compileScanPredicate(filter Expr, snap *columnstore.Snapshot, cols []colInfo, reg *Registry) (func(pos int) bool, evalFn, error) {
+func compileScanPredicate(filter Expr, snap *columnstore.Snapshot, cols []colInfo, params []value.Value, reg *Registry) (func(pos int) bool, evalFn, error) {
 	if filter == nil {
 		return nil, nil, nil
 	}
 	var fastParts []func(pos int) bool
 	var rest []Expr
 	for _, conj := range splitConjuncts(filter) {
-		if f := tryFastConjunct(conj, snap, cols); f != nil {
+		if f := tryFastConjunct(conj, snap, cols, params); f != nil {
 			fastParts = append(fastParts, f)
 			continue
 		}
@@ -456,36 +456,13 @@ func compileScanPredicate(filter Expr, snap *columnstore.Snapshot, cols []colInf
 	return fast, generic, nil
 }
 
-// tryFastConjunct specializes col <op> literal over integer storage and
-// col = 'string' over dictionary storage. Returns nil when not applicable.
-func tryFastConjunct(e Expr, snap *columnstore.Snapshot, cols []colInfo) func(pos int) bool {
-	be, ok := e.(*BinaryExpr)
+// tryFastConjunct specializes col <op> constant over integer storage and
+// col = 'string' over dictionary storage, where the constant is a literal
+// or a bound parameter (colConstCmp). Returns nil when not applicable.
+func tryFastConjunct(e Expr, snap *columnstore.Snapshot, cols []colInfo, params []value.Value) func(pos int) bool {
+	cr, op, val, ok := colConstCmp(e, params)
 	if !ok {
 		return nil
-	}
-	cr, lok := be.L.(*ColRef)
-	lit, rok := be.R.(*Literal)
-	op := be.Op
-	if !lok || !rok {
-		if cr2, ok := be.R.(*ColRef); ok {
-			if lit2, ok := be.L.(*Literal); ok {
-				cr, lit = cr2, lit2
-				switch op {
-				case "<":
-					op = ">"
-				case "<=":
-					op = ">="
-				case ">":
-					op = "<"
-				case ">=":
-					op = "<="
-				}
-			} else {
-				return nil
-			}
-		} else {
-			return nil
-		}
 	}
 	col := -1
 	for i, c := range cols {
@@ -499,12 +476,12 @@ func tryFastConjunct(e Expr, snap *columnstore.Snapshot, cols []colInfo) func(po
 	}
 
 	// Integer comparison fast path.
-	if lit.Val.K == value.KindInt || lit.Val.K == value.KindTime || lit.Val.K == value.KindBool {
+	if val.K == value.KindInt || val.K == value.KindTime || val.K == value.KindBool {
 		rd := makeIntReader(snap, col)
 		if rd == nil {
 			return nil
 		}
-		k := lit.Val.I
+		k := val.I
 		switch op {
 		case "=":
 			return func(pos int) bool { v, ok := rd(pos); return ok && v == k }
@@ -525,15 +502,15 @@ func tryFastConjunct(e Expr, snap *columnstore.Snapshot, cols []colInfo) func(po
 	// Dictionary equality fast path: compare value IDs in main storage.
 	// Requires a table-wide dictionary (DictIndexed); paged warm columns
 	// use per-chunk dictionaries and take the generic path instead.
-	if lit.Val.K == value.KindString && op == "=" {
+	if val.K == value.KindString && op == "=" {
 		mc, ok := snap.MainColumn(col).(columnstore.DictIndexed)
 		if !ok {
 			return nil
 		}
 		mainRows := snap.MainRows()
 		dc := snap.DeltaColumn(col)
-		id, found := mc.LookupID(lit.Val.S)
-		want := lit.Val.S
+		id, found := mc.LookupID(val.S)
+		want := val.S
 		return func(pos int) bool {
 			if pos < mainRows {
 				return found && !mc.IsNull(pos) && mc.IDAt(pos) == id

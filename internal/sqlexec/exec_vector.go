@@ -139,7 +139,7 @@ type scanPrep struct {
 
 func prepScan(s *ScanPlan, ctx *execCtx) (*scanPrep, error) {
 	if !s.VecMarked {
-		markKernelEligible(s)
+		markKernelEligible(s, ctx.params)
 	}
 	if s.Filter != nil {
 		if _, err := compileExpr(s.Filter, resolverFor(s.columns()), ctx.reg); err != nil {
@@ -425,11 +425,12 @@ func vecScan(s *ScanPlan, ctx *execCtx) (vpipe, error) {
 
 // bindKernel resolves one eligible conjunct against a partition's main
 // encoding. The kind restrictions mirror value.Compare exactly: the
-// integer kernel compares raw int64 only when column and literal agree on
-// kind, the float kernel coerces integer literals the way Compare does,
-// the dictionary kernel binds string literals, and the RLE kernel calls
-// Compare itself once per run so any literal kind is safe. A nil return
-// sends the conjunct to the generic expression path for this partition.
+// integer kernel compares raw int64 only when column and constant agree
+// on kind, the float kernel coerces integer constants the way Compare
+// does, the dictionary kernel binds string constants, and the RLE kernel
+// calls Compare itself once per run so any constant kind is safe. A nil
+// return sends the conjunct to the generic expression path for this
+// partition — a kind-mismatched parameter counts as a fallback there.
 func bindKernel(snap *columnstore.Snapshot, p vecPred) kernelFn {
 	mc := snap.MainColumn(p.Col)
 	if mc == nil {
@@ -438,8 +439,8 @@ func bindKernel(snap *columnstore.Snapshot, p vecPred) kernelFn {
 	// Capability interfaces instead of concrete structs: hot columns and
 	// paged warm columns bind the same kernels.
 	if c, ok := mc.(columnstore.IntFilterer); ok {
-		if p.Lit.K == mc.Kind() && p.Lit.K != value.KindFloat {
-			k := p.Lit.I
+		if p.Val.K == mc.Kind() && p.Val.K != value.KindFloat {
+			k := p.Val.I
 			return func(lo, hi int, sel []int) []int {
 				return c.FilterInts(lo, hi, p.Op, k, sel)
 			}
@@ -448,11 +449,11 @@ func bindKernel(snap *columnstore.Snapshot, p vecPred) kernelFn {
 	}
 	if c, ok := mc.(columnstore.FloatFilterer); ok {
 		var k float64
-		switch p.Lit.K {
+		switch p.Val.K {
 		case value.KindFloat:
-			k = p.Lit.F
+			k = p.Val.F
 		case value.KindInt:
-			k = float64(p.Lit.I)
+			k = float64(p.Val.I)
 		default:
 			return nil
 		}
@@ -461,16 +462,16 @@ func bindKernel(snap *columnstore.Snapshot, p vecPred) kernelFn {
 		}
 	}
 	if c, ok := mc.(columnstore.StringFilterer); ok {
-		if p.Lit.K == value.KindString {
+		if p.Val.K == value.KindString {
 			return func(lo, hi int, sel []int) []int {
-				return c.FilterString(lo, hi, p.Op, p.Lit.S, sel)
+				return c.FilterString(lo, hi, p.Op, p.Val.S, sel)
 			}
 		}
 		return nil
 	}
 	if c, ok := mc.(columnstore.ValueFilterer); ok {
 		return func(lo, hi int, sel []int) []int {
-			return c.FilterValues(lo, hi, p.Op, p.Lit, sel)
+			return c.FilterValues(lo, hi, p.Op, p.Val, sel)
 		}
 	}
 	return nil

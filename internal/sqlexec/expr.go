@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/value"
@@ -335,7 +336,7 @@ func exprString(e Expr) string {
 		}
 		return x.Name
 	case *Param:
-		return "?"
+		return "$" + strconv.Itoa(x.Index+1)
 	case *BinaryExpr:
 		return "(" + exprString(x.L) + " " + x.Op + " " + exprString(x.R) + ")"
 	case *UnaryExpr:

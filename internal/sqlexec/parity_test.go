@@ -257,6 +257,74 @@ var parityQueries = []struct {
 	{sql: `SELECT COUNT(*) FROM raw_events r JOIN dims d ON r.region = d.region`},
 }
 
+// paritySQL is one statement of a parity run with its parameter values.
+type paritySQL struct {
+	sql    string
+	params []value.Value
+}
+
+// withParamTwin returns a catalog query followed by its $N twin, when it
+// has one. The twin is derived, not hand-written: every literal operand
+// of a WHERE comparison or BETWEEN — in the query and its derived tables
+// — becomes a parameter numbered after the query's own, and the rewritten
+// statement is deparsed back to SQL. ORDER BY ordinals, LIMIT and every
+// other literal stay as written. Both must return the same rows in the
+// same order on every executor: a bound parameter binds the same kernels
+// and prunes the same partitions and zones as its literal.
+func withParamTwin(t testing.TB, sql string, params []value.Value) []paritySQL {
+	t.Helper()
+	out := []paritySQL{{sql, params}}
+	st, err := Parse(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	sel, ok := st.(*SelectStmt)
+	if !ok {
+		return out
+	}
+	twinParams := append([]value.Value(nil), params...)
+	lift := func(e Expr) Expr {
+		if lit, ok := e.(*Literal); ok {
+			twinParams = append(twinParams, lit.Val)
+			return &Param{Index: len(twinParams) - 1}
+		}
+		return e
+	}
+	var walk func(e Expr)
+	walk = func(e Expr) {
+		switch x := e.(type) {
+		case *BinaryExpr:
+			if _, cmp := mirroredCmp[x.Op]; cmp {
+				x.L, x.R = lift(x.L), lift(x.R)
+				return
+			}
+			walk(x.L)
+			walk(x.R)
+		case *UnaryExpr:
+			walk(x.E)
+		case *BetweenExpr:
+			x.Lo, x.Hi = lift(x.Lo), lift(x.Hi)
+		}
+	}
+	var walkSelect func(s *SelectStmt)
+	walkSelect = func(s *SelectStmt) {
+		walk(s.Where)
+		if s.From.Subquery != nil {
+			walkSelect(s.From.Subquery)
+		}
+		for _, j := range s.Joins {
+			if j.Table.Subquery != nil {
+				walkSelect(j.Table.Subquery)
+			}
+		}
+	}
+	walkSelect(sel)
+	if len(twinParams) == len(params) {
+		return out
+	}
+	return append(out, paritySQL{Deparse(sel), twinParams})
+}
+
 // resultKeys renders rows for exact ordered comparison.
 func resultKeys(r *Result) []string {
 	out := make([]string, len(r.Rows))
@@ -271,25 +339,43 @@ func resultKeys(r *Result) []string {
 // ordered output — the vectorized executor's determinism contract.
 func TestVectorizedParity(t *testing.T) {
 	e := parityEngine(t)
+	twins := 0
 	for _, q := range parityQueries {
 		e.Mode = ModeInterpreted
-		want := mustExec(t, e, q.sql, q.params...)
-		wantKeys := resultKeys(want)
+		wantKeys := resultKeys(mustExec(t, e, q.sql, q.params...))
 
-		e.Mode = ModeCompiled
-		if got := resultKeys(mustExec(t, e, q.sql, q.params...)); !reflect.DeepEqual(got, wantKeys) {
-			t.Errorf("%s: compiled output differs from interpreted", q.sql)
-		}
-		for _, workers := range []int{1, 3, 8} {
-			e.Mode = ModeVectorized
-			e.Workers = workers
-			if got := resultKeys(mustExec(t, e, q.sql, q.params...)); !reflect.DeepEqual(got, wantKeys) {
-				t.Errorf("%s: vectorized(workers=%d) output differs from interpreted (%d vs %d rows)",
-					q.sql, workers, len(got), len(wantKeys))
+		variants := withParamTwin(t, q.sql, q.params)
+		twins += len(variants) - 1
+		for i, v := range variants {
+			if i > 0 {
+				e.Mode = ModeInterpreted
+				if got := resultKeys(mustExec(t, e, v.sql, v.params...)); !reflect.DeepEqual(got, wantKeys) {
+					t.Errorf("%s: interpreted $N twin differs from its literal original", v.sql)
+				}
+			}
+			e.Mode = ModeCompiled
+			if got := resultKeys(mustExec(t, e, v.sql, v.params...)); !reflect.DeepEqual(got, wantKeys) {
+				t.Errorf("%s: compiled output differs from interpreted", v.sql)
+			}
+			for _, workers := range []int{1, 3, 8} {
+				e.Mode = ModeVectorized
+				e.Workers = workers
+				if got := resultKeys(mustExec(t, e, v.sql, v.params...)); !reflect.DeepEqual(got, wantKeys) {
+					t.Errorf("%s: vectorized(workers=%d) output differs from interpreted (%d vs %d rows)",
+						v.sql, workers, len(got), len(wantKeys))
+				}
 			}
 		}
 	}
+	if twins < minParamTwins {
+		t.Fatalf("derived only %d $N twins from the catalog, want >= %d", twins, minParamTwins)
+	}
 }
+
+// minParamTwins is how many catalog queries carry a WHERE literal the
+// twin derivation lifts into a parameter; a drop means the derivation
+// stopped seeing them, not that the catalog shrank.
+const minParamTwins = 30
 
 // TestVectorizedParityFlatOverflow reruns the grouping shapes with the
 // flat-array group cutoff forced to 2, so nearly every group spills to

@@ -162,6 +162,12 @@ type Planner struct {
 	Sys *SysCatalog
 	// MaxViewDepth caps view expansion recursion.
 	MaxViewDepth int
+	// Params are the statement's bound parameter values. Kernel binding
+	// and partition pruning treat a $N operand with a non-NULL value like
+	// the literal it stands for; without values (Describe, EXPLAIN) $N
+	// stays an opaque residual. The plan is then specific to these
+	// values and must run with them.
+	Params []value.Value
 }
 
 // BuildSelect turns a parsed SELECT into an optimized plan.
@@ -271,7 +277,8 @@ func (pl *Planner) buildSelect(s *SelectStmt, depth int) (Plan, error) {
 	if len(s.OrderBy) > 0 {
 		keys := make([]OrderItem, len(s.OrderBy))
 		for i, o := range s.OrderBy {
-			// ORDER BY ordinal (1-based) resolves to the projection; other
+			// ORDER BY ordinal (1-based, a literal — ORDER BY $1 is a
+			// constant key, not a position) resolves to the projection; other
 			// keys resolve against output aliases first, and fall back to
 			// the pre-projection input (ORDER BY o.total with SELECT
 			// c.name, o.total).
@@ -699,14 +706,17 @@ func (s *ScanPlan) scanParts() []*catalog.Partition {
 	return s.Entry.Partitions
 }
 
-// vecPred is one kernel-eligible scan conjunct: <column> <cmp> <literal>.
+// vecPred is one kernel-eligible scan conjunct: <column> <cmp> <constant>.
 // The vectorized executor binds it to an encoded-column batch kernel per
 // partition; partitions whose physical encoding has no matching kernel
-// evaluate Orig through the generic expression path instead.
+// evaluate Orig through the generic expression path instead. Val is the
+// constant's value — a literal's, or a bound parameter's — while Orig
+// keeps the conjunct as written, so the fallback evaluates a parameter
+// through Env.Params to the same value.
 type vecPred struct {
 	Col  int // index into the scan's output columns
 	Op   columnstore.CmpOp
-	Lit  value.Value
+	Val  value.Value
 	Orig Expr
 }
 
@@ -717,13 +727,66 @@ var cmpOps = map[string]columnstore.CmpOp{
 	">": columnstore.CmpGT, ">=": columnstore.CmpGE,
 }
 
+// mirroredCmp maps each comparison operator to the one that holds with
+// its operands swapped: "5 < a" is "a > 5".
+var mirroredCmp = map[string]string{
+	"=": "=", "<>": "<>", "<": ">", "<=": ">=", ">": "<", ">=": "<=",
+}
+
+// constOperand resolves an operand the planner and executors may treat
+// as a known constant: a literal, or a parameter bound to a value. NULL
+// never qualifies (a comparison with it is never true), and neither does
+// a parameter without a value (Describe, plain EXPLAIN).
+func constOperand(e Expr, params []value.Value) (value.Value, bool) {
+	var v value.Value
+	switch x := e.(type) {
+	case *Literal:
+		v = x.Val
+	case *Param:
+		if x.Index < 0 || x.Index >= len(params) {
+			return value.Null, false
+		}
+		v = params[x.Index]
+	default:
+		return value.Null, false
+	}
+	return v, !v.IsNull()
+}
+
+// colConstCmp matches a plain comparison between a column and a constant
+// operand (constOperand), in either order, and returns it column-first:
+// "5 < a" comes back as (a, ">", 5). This is the one "column <op>
+// constant" matcher behind kernel binding, range and zone-map pruning and
+// the compiled executor's position-specialized predicates.
+func colConstCmp(e Expr, params []value.Value) (cr *ColRef, op string, v value.Value, ok bool) {
+	be, ok := e.(*BinaryExpr)
+	if !ok {
+		return nil, "", value.Null, false
+	}
+	mirrored, ok := mirroredCmp[be.Op]
+	if !ok {
+		return nil, "", value.Null, false
+	}
+	if cr, ok = be.L.(*ColRef); ok {
+		v, ok = constOperand(be.R, params)
+		return cr, be.Op, v, ok
+	}
+	if cr, ok = be.R.(*ColRef); ok {
+		v, ok = constOperand(be.L, params)
+		return cr, mirrored, v, ok
+	}
+	return nil, "", value.Null, false
+}
+
 // markKernelEligible classifies the scan's filter conjuncts for the
 // vectorized executor. A conjunct qualifies when it compares one of the
-// scan's columns against a non-NULL literal with a plain comparison
-// operator — the shape every batch kernel understands. Everything else
-// (functions, parameters, LIKE, IN, multi-column expressions) lands in
-// VecResidual and runs row-at-a-time on the already-thinned selection.
-func markKernelEligible(s *ScanPlan) {
+// scan's columns against a constant with a plain comparison operator —
+// the shape every batch kernel understands. A constant is a non-NULL
+// literal or a parameter bound to a non-NULL value in params, so "id =
+// $1" binds the same kernel as "id = 4242". Everything else (functions,
+// unbound or NULL parameters, LIKE, IN, multi-column expressions) lands
+// in VecResidual and runs row-at-a-time on the already-thinned selection.
+func markKernelEligible(s *ScanPlan, params []value.Value) {
 	s.VecMarked = true
 	s.VecEligible = s.VecEligible[:0]
 	s.VecResidual = s.VecResidual[:0]
@@ -731,7 +794,7 @@ func markKernelEligible(s *ScanPlan) {
 		return
 	}
 	for _, conj := range splitConjuncts(s.Filter) {
-		if p, ok := classifyVecConjunct(conj, s.cols); ok {
+		if p, ok := classifyVecConjunct(conj, s.cols, params); ok {
 			s.VecEligible = append(s.VecEligible, p)
 		} else {
 			s.VecResidual = append(s.VecResidual, conj)
@@ -739,42 +802,14 @@ func markKernelEligible(s *ScanPlan) {
 	}
 }
 
-func classifyVecConjunct(e Expr, cols []colInfo) (vecPred, bool) {
-	be, ok := e.(*BinaryExpr)
+func classifyVecConjunct(e Expr, cols []colInfo, params []value.Value) (vecPred, bool) {
+	cr, op, v, ok := colConstCmp(e, params)
 	if !ok {
 		return vecPred{}, false
-	}
-	op, ok := cmpOps[be.Op]
-	if !ok {
-		return vecPred{}, false
-	}
-	cr, lok := be.L.(*ColRef)
-	lit, rok := be.R.(*Literal)
-	if !lok || !rok {
-		// literal <op> column: flip the operand order and the operator.
-		cr2, c2 := be.R.(*ColRef)
-		lit2, l2 := be.L.(*Literal)
-		if !c2 || !l2 {
-			return vecPred{}, false
-		}
-		cr, lit = cr2, lit2
-		switch op {
-		case columnstore.CmpLT:
-			op = columnstore.CmpGT
-		case columnstore.CmpLE:
-			op = columnstore.CmpGE
-		case columnstore.CmpGT:
-			op = columnstore.CmpLT
-		case columnstore.CmpGE:
-			op = columnstore.CmpLE
-		}
-	}
-	if lit.Val.IsNull() {
-		return vecPred{}, false // NULL comparisons are never true
 	}
 	for i, c := range cols {
 		if (cr.Qual == "" || cr.Qual == c.Qual) && cr.Name == c.Name {
-			return vecPred{Col: i, Op: op, Lit: lit.Val, Orig: e}, true
+			return vecPred{Col: i, Op: cmpOps[op], Val: v, Orig: e}, true
 		}
 	}
 	return vecPred{}, false
@@ -923,7 +958,7 @@ func (pl *Planner) pruneScan(s *ScanPlan) {
 	parts := s.Entry.Partitions
 	conjs := splitConjuncts(s.Filter)
 	if len(parts) > 1 && s.Filter != nil {
-		lo, hi := boundsFor(conjs, partPruneCol(parts))
+		lo, hi := boundsFor(conjs, partPruneCol(parts), pl.Params)
 		if !lo.IsNull() || !hi.IsNull() {
 			var kept []*catalog.Partition
 			for _, p := range parts {
@@ -938,11 +973,11 @@ func (pl *Planner) pruneScan(s *ScanPlan) {
 		parts = pl.Prune(s.Entry, conjs, parts)
 	}
 	if s.Filter != nil {
-		parts = zonePrune(s, conjs, parts)
+		parts = zonePrune(s, conjs, parts, pl.Params)
 	}
 	s.Pruned = len(s.Entry.Partitions) - len(parts)
 	s.Parts = parts
-	markKernelEligible(s)
+	markKernelEligible(s, pl.Params)
 }
 
 func partPruneCol(parts []*catalog.Partition) string {
@@ -955,8 +990,8 @@ func partPruneCol(parts []*catalog.Partition) string {
 }
 
 // boundsFor derives [lo, hi] bounds on col from conjuncts of the form
-// col <op> literal. NULL means unbounded.
-func boundsFor(conjs []Expr, col string) (lo, hi value.Value) {
+// col <op> constant (see constOperand). NULL means unbounded.
+func boundsFor(conjs []Expr, col string, params []value.Value) (lo, hi value.Value) {
 	if col == "" {
 		return value.Null, value.Null
 	}
@@ -972,66 +1007,44 @@ func boundsFor(conjs []Expr, col string) (lo, hi value.Value) {
 		}
 	}
 	for _, c := range conjs {
-		switch x := c.(type) {
-		case *BinaryExpr:
-			cr, lok := x.L.(*ColRef)
-			lit, rok := x.R.(*Literal)
-			op := x.Op
-			if !lok || !rok {
-				// literal <op> col: flip
-				if lit2, ok := x.L.(*Literal); ok {
-					if cr2, ok := x.R.(*ColRef); ok {
-						cr, lit = cr2, lit2
-						switch op {
-						case "<":
-							op = ">"
-						case "<=":
-							op = ">="
-						case ">":
-							op = "<"
-						case ">=":
-							op = "<="
-						}
-						lok, rok = true, true
-					}
-				}
-			}
-			if !lok || !rok || cr.Name != col {
-				continue
-			}
-			switch op {
-			case "=":
-				tighterLo(lit.Val)
-				tighterHi(lit.Val)
-			case "<":
-				// Strict bounds tighten by one for integer literals.
-				if lit.Val.K == value.KindInt {
-					tighterHi(value.Int(lit.Val.I - 1))
-				} else {
-					tighterHi(lit.Val)
-				}
-			case "<=":
-				tighterHi(lit.Val)
-			case ">":
-				if lit.Val.K == value.KindInt {
-					tighterLo(value.Int(lit.Val.I + 1))
-				} else {
-					tighterLo(lit.Val)
-				}
-			case ">=":
-				tighterLo(lit.Val)
-			}
-		case *BetweenExpr:
+		if x, ok := c.(*BetweenExpr); ok {
 			cr, ok := x.E.(*ColRef)
 			if !ok || cr.Name != col || x.Not {
 				continue
 			}
-			if l, ok := x.Lo.(*Literal); ok {
-				tighterLo(l.Val)
+			if v, ok := constOperand(x.Lo, params); ok {
+				tighterLo(v)
 			}
-			if h, ok := x.Hi.(*Literal); ok {
-				tighterHi(h.Val)
+			if v, ok := constOperand(x.Hi, params); ok {
+				tighterHi(v)
 			}
+			continue
+		}
+		cr, op, v, ok := colConstCmp(c, params)
+		if !ok || cr.Name != col {
+			continue
+		}
+		switch op {
+		case "=":
+			tighterLo(v)
+			tighterHi(v)
+		case "<":
+			// Strict bounds tighten by one for integer constants.
+			if v.K == value.KindInt {
+				tighterHi(value.Int(v.I - 1))
+			} else {
+				tighterHi(v)
+			}
+		case "<=":
+			tighterHi(v)
+		case ">":
+			if v.K == value.KindInt {
+				tighterLo(value.Int(v.I + 1))
+			} else {
+				tighterLo(v)
+			}
+		case ">=":
+			tighterLo(v)
 		}
 	}
 	return lo, hi

@@ -41,34 +41,45 @@ func TestTierParity(t *testing.T) {
 		t.Fatalf("dataset too small to stress the pool: %d pages on disk vs budget 8", pages)
 	}
 
+	// Each catalog query runs as written and as its derived $N twin
+	// (withParamTwin), so zone-map and range pruning are checked with
+	// bound parameters against the literal all-hot reference.
 	faulted := false
+	twins := 0
 	for _, q := range parityQueries {
 		hot.Mode = ModeInterpreted
 		wantKeys := resultKeys(mustExec(t, hot, q.sql, q.params...))
 
-		for _, mode := range []Mode{ModeInterpreted, ModeCompiled} {
-			warm.Mode = mode
-			got := mustExec(t, warm, q.sql, q.params...)
-			if keys := resultKeys(got); !reflect.DeepEqual(keys, wantKeys) {
-				t.Errorf("%s: warm mode=%d output differs from all-hot (%d vs %d rows)",
-					q.sql, mode, len(keys), len(wantKeys))
+		variants := withParamTwin(t, q.sql, q.params)
+		twins += len(variants) - 1
+		for _, v := range variants {
+			for _, mode := range []Mode{ModeInterpreted, ModeCompiled} {
+				warm.Mode = mode
+				got := mustExec(t, warm, v.sql, v.params...)
+				if keys := resultKeys(got); !reflect.DeepEqual(keys, wantKeys) {
+					t.Errorf("%s: warm mode=%d output differs from all-hot (%d vs %d rows)",
+						v.sql, mode, len(keys), len(wantKeys))
+				}
+				if got.Stats.PageFaults > 0 {
+					faulted = true
+				}
 			}
-			if got.Stats.PageFaults > 0 {
-				faulted = true
+			for _, workers := range []int{1, 4} {
+				warm.Mode = ModeVectorized
+				warm.Workers = workers
+				got := mustExec(t, warm, v.sql, v.params...)
+				if keys := resultKeys(got); !reflect.DeepEqual(keys, wantKeys) {
+					t.Errorf("%s: warm vectorized(workers=%d) output differs from all-hot (%d vs %d rows)",
+						v.sql, workers, len(keys), len(wantKeys))
+				}
+				if got.Stats.PageFaults > 0 {
+					faulted = true
+				}
 			}
 		}
-		for _, workers := range []int{1, 4} {
-			warm.Mode = ModeVectorized
-			warm.Workers = workers
-			got := mustExec(t, warm, q.sql, q.params...)
-			if keys := resultKeys(got); !reflect.DeepEqual(keys, wantKeys) {
-				t.Errorf("%s: warm vectorized(workers=%d) output differs from all-hot (%d vs %d rows)",
-					q.sql, workers, len(keys), len(wantKeys))
-			}
-			if got.Stats.PageFaults > 0 {
-				faulted = true
-			}
-		}
+	}
+	if twins < minParamTwins {
+		t.Fatalf("derived only %d $N twins from the catalog, want >= %d", twins, minParamTwins)
 	}
 	if !faulted {
 		t.Fatal("no query reported page faults — warm tier was never exercised")

@@ -15,11 +15,13 @@ import (
 
 // zonePrune filters parts down to those a scan's conjuncts cannot refute
 // via zone maps. Only warm partitions with a synopsis still matching the
-// table's current shape participate; everything else is kept.
-func zonePrune(s *ScanPlan, conjs []Expr, parts []*catalog.Partition) []*catalog.Partition {
+// table's current shape participate; everything else is kept. Conjuncts
+// qualify on the kernel shape, so a bound parameter refutes zones exactly
+// as the literal it stands for does.
+func zonePrune(s *ScanPlan, conjs []Expr, parts []*catalog.Partition, params []value.Value) []*catalog.Partition {
 	preds := make([]vecPred, 0, len(conjs))
 	for _, c := range conjs {
-		if p, ok := classifyVecConjunct(c, s.cols); ok {
+		if p, ok := classifyVecConjunct(c, s.cols, params); ok {
 			preds = append(preds, p)
 		}
 	}
@@ -51,7 +53,7 @@ func zoneRefutes(p *catalog.Partition, preds []vecPred) bool {
 		if pr.Col >= len(z.Cols) {
 			continue
 		}
-		if zoneRefutesPred(z.Cols[pr.Col], pr.Op, pr.Lit) {
+		if zoneRefutesPred(z.Cols[pr.Col], pr.Op, pr.Val) {
 			return true
 		}
 	}

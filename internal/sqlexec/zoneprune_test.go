@@ -15,10 +15,11 @@ import (
 // (quick.Check, matching the mergeDictionaries style): for randomized
 // datasets and randomized int/string predicates, a scan over warm
 // partitions — where the planner prunes via zone maps before any page
-// fault — returns exactly the rows of the unpruned all-hot scan.
+// fault — returns exactly the rows of the unpruned all-hot scan, with the
+// constant written as a literal and bound as a $N parameter alike.
 func TestZonePruneProperty(t *testing.T) {
 	ops := []string{"=", "<>", "<", "<=", ">", ">="}
-	var pruned int64
+	var pruned [2]int64 // literal queries, $N twins
 
 	f := func(seed int64, kRaw int64, litSel, opSel, colSel uint8) bool {
 		letters := []string{"alpha", "bravo", "charlie", "delta", "echo"}
@@ -79,21 +80,27 @@ func TestZonePruneProperty(t *testing.T) {
 
 		hot.Mode = ModeInterpreted
 		want := resultKeys(mustExec(t, hot, q))
-		for _, mode := range []Mode{ModeInterpreted, ModeCompiled, ModeVectorized} {
-			warm.Mode = mode
-			got := mustExec(t, warm, q)
-			if keys := resultKeys(got); !reflect.DeepEqual(keys, want) {
-				t.Logf("%s: mode=%d pruned warm scan %d rows, unpruned hot scan %d rows", q, mode, len(keys), len(want))
-				return false
+		// The literal query and its $N twin must prune the same zones.
+		for i, v := range withParamTwin(t, q, nil) {
+			for _, mode := range []Mode{ModeInterpreted, ModeCompiled, ModeVectorized} {
+				warm.Mode = mode
+				got := mustExec(t, warm, v.sql, v.params...)
+				if keys := resultKeys(got); !reflect.DeepEqual(keys, want) {
+					t.Logf("%s: mode=%d pruned warm scan %d rows, unpruned hot scan %d rows", v.sql, mode, len(keys), len(want))
+					return false
+				}
+				pruned[i] += int64(got.Stats.PartitionsPruned)
 			}
-			pruned += int64(got.Stats.PartitionsPruned)
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-	if pruned == 0 {
+	if pruned[0] == 0 {
 		t.Fatal("zone pruning never fired across the property run")
+	}
+	if pruned[1] != pruned[0] {
+		t.Fatalf("$N twins pruned %d partitions, literal queries %d", pruned[1], pruned[0])
 	}
 }

@@ -395,9 +395,10 @@ func (t *Txn) resolve() (tabs map[string]*columnstore.Table, delNames []string, 
 }
 
 // apply installs the write set at commitTS. Inserts are grouped per table
-// (one ApplyInsert lock round-trip each); deletes were validated under the
+// (one ApplyInsert lock round-trip each) and land in commit-timestamp
+// order on each table (see insTurns); deletes were validated under the
 // table latch the caller still holds, so the stamp cannot fail.
-func (t *Txn) apply(commitTS uint64, tabs map[string]*columnstore.Table) {
+func (t *Txn) apply(commitTS uint64, tabs map[string]*columnstore.Table, turns insTurns) {
 	insNames := make([]string, 0, len(t.inserts))
 	for name := range t.inserts {
 		insNames = append(insNames, name)
@@ -405,7 +406,13 @@ func (t *Txn) apply(commitTS uint64, tabs map[string]*columnstore.Table) {
 	sort.Strings(insNames)
 	posOut := make(map[string][]int, len(insNames))
 	for _, name := range insNames {
+		if prev := turns.wait[name]; prev != nil {
+			<-prev
+		}
 		posOut[name] = tabs[name].ApplyInsert(t.inserts[name], commitTS)
+		if mine := turns.done[name]; mine != nil {
+			close(mine)
+		}
 	}
 	next := make(map[string]int, len(insNames))
 	for i := range t.writes {
@@ -542,6 +549,7 @@ type gcJob struct {
 	latches []*sync.Mutex
 	ts      uint64          // assigned by the leader before apply is closed
 	wg      *sync.WaitGroup // batch apply barrier
+	turns   insTurns        // per-table insert order within the batch
 	apply   chan struct{}   // leader → member: ts assigned, apply now
 
 	// Exclusive jobs.
@@ -552,6 +560,17 @@ type gcJob struct {
 	elect     chan struct{} // leader → member: take over leadership
 	done      chan struct{} // leader → member: fully committed/ran
 	processed bool          // leader-side: job completed (leader goroutine only)
+}
+
+// insTurns sequences a batch member's inserts behind those of the
+// lower-timestamp members that insert into the same table. Members apply
+// concurrently, so without it two inserters into one table would take
+// positions in arrival order; replay applies the log in timestamp order,
+// and deletes logged later name rows by position — recovery would then
+// stamp the wrong rows. Disjoint tables still apply in parallel.
+type insTurns struct {
+	wait map[string]chan struct{} // closed once the predecessor's inserts landed
+	done map[string]chan struct{} // closed once this member's inserts landed
 }
 
 // maxLeaderDrains bounds how many batches one committer serves as leader
@@ -577,7 +596,7 @@ func (m *Manager) submit(j *gcJob) {
 	}
 	select {
 	case <-j.apply:
-		j.txn.apply(j.ts, j.tabs)
+		j.txn.apply(j.ts, j.tabs, j.turns)
 		j.wg.Done()
 		<-j.done
 	case <-j.elect:
@@ -661,19 +680,32 @@ func (m *Manager) runGroup(batch []*gcJob, own *gcJob) bool {
 
 	if len(commits) > 0 {
 		// Phase 1: assign a contiguous TS range under one clock bump and
-		// let every member apply its own write set concurrently.
+		// let every member apply its own write set concurrently, inserts
+		// into a shared table taking their turns in TS order.
 		base := m.clock.Load()
 		var wg sync.WaitGroup
 		wg.Add(len(commits))
+		last := make(map[string]chan struct{})
 		for i, j := range commits {
 			j.ts = base + 1 + uint64(i)
 			j.wg = &wg
+			j.turns = insTurns{
+				wait: make(map[string]chan struct{}, len(j.txn.inserts)),
+				done: make(map[string]chan struct{}, len(j.txn.inserts)),
+			}
+			for name := range j.txn.inserts {
+				if prev := last[name]; prev != nil {
+					j.turns.wait[name] = prev
+				}
+				j.turns.done[name] = make(chan struct{})
+				last[name] = j.turns.done[name]
+			}
 			if j != own {
 				close(j.apply)
 			}
 		}
 		if own != nil && !own.excl && !own.processed {
-			own.txn.apply(own.ts, own.tabs)
+			own.txn.apply(own.ts, own.tabs, own.turns)
 			wg.Done()
 		}
 		wg.Wait()

@@ -68,7 +68,10 @@ func TestRecoveryWithBackgroundMerges(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w) + 11))
-			for i := 0; i < 100; i++ {
+			// Keep committing past the first 100 until a merge has landed
+			// mid-ingest: a fast run can otherwise finish before the
+			// merger's first tick and never exercise the ordering.
+			for i := 0; i < 100 || (merger.Merges() == 0 && i < 100_000); i++ {
 				_, err := s.Mgr.RunInTxn(func(tx *txn.Txn) error {
 					if rng.Intn(3) == 0 {
 						// Update a live row found through the txn snapshot.
@@ -86,7 +89,7 @@ func TestRecoveryWithBackgroundMerges(t *testing.T) {
 						}
 						return nil
 					}
-					return tx.Insert("ev", value.Row{value.Int(int64(10000 + w*1000 + i)), value.Int(0)})
+					return tx.Insert("ev", value.Row{value.Int(int64(1_000_000 + w*100_000 + i)), value.Int(0)})
 				})
 				if err != nil && !errors.Is(err, txn.ErrConflict) {
 					t.Error(err)
