@@ -39,7 +39,7 @@ experiments:
 	$(GO) test -run Experiment ./...
 
 # Executor parity: every query shape must produce identical output on the
-# interpreted, compiled and vectorized executors, under the race detector —
+# interpreted and vectorized executors, under the race detector —
 # with literals and with the same constants bound as $N parameters (the
 # derived twins, the parameter-vs-literal stats gate, kind-mismatched and
 # NULL parameters, $N deparse round trips).
@@ -70,7 +70,7 @@ htap:
 	$(GO) test -run 'TestE24Shape' ./internal/experiments/
 
 # The observability suite under the race detector: fingerprint
-# normalization, the sys.* views on all three executors, statement-stats
+# normalization, the sys.* views on both executors, statement-stats
 # aggregation and eviction, slow-log retention, the registry <->
 # sys.m_metrics <-> Prometheus consistency contract, the end-to-end
 # wire monitoring test (a SQL client polling sys.m_statements and

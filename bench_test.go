@@ -41,8 +41,8 @@ func benchExperiment(b *testing.B, f func(experiments.Scale) *experiments.Table)
 func BenchmarkE1_HTAPvsSplit(b *testing.B)     { benchExperiment(b, experiments.E1HTAPvsSplit) }
 func BenchmarkE2_Compression(b *testing.B)     { benchExperiment(b, experiments.E2Compression) }
 func BenchmarkE3_MergeStableKeys(b *testing.B) { benchExperiment(b, experiments.E3MergeStableKeys) }
-func BenchmarkE4_CompiledVsInterpreted(b *testing.B) {
-	benchExperiment(b, experiments.E4CompiledVsInterpreted)
+func BenchmarkE4_VectorizedVsInterpreted(b *testing.B) {
+	benchExperiment(b, experiments.E4VectorizedVsInterpreted)
 }
 func BenchmarkE5_Pushdown(b *testing.B)     { benchExperiment(b, experiments.E5Pushdown) }
 func BenchmarkE6_AgingPruning(b *testing.B) { benchExperiment(b, experiments.E6AgingPruning) }
@@ -146,7 +146,7 @@ func BenchmarkAblation_ExecutorModes(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		m    sqlexec.Mode
-	}{{"interpreted", sqlexec.ModeInterpreted}, {"compiled", sqlexec.ModeCompiled}} {
+	}{{"interpreted", sqlexec.ModeInterpreted}, {"vectorized", sqlexec.ModeVectorized}} {
 		b.Run(mode.name, func(b *testing.B) {
 			eng.Mode = mode.m
 			b.ReportAllocs()

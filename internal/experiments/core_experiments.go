@@ -217,14 +217,16 @@ func E3MergeStableKeys(s Scale) *Table {
 	return t
 }
 
-// E4CompiledVsInterpreted — §IV-A [11][12]: compiling queries removes
-// per-tuple interpretation overhead.
-func E4CompiledVsInterpreted(s Scale) *Table {
+// E4VectorizedVsInterpreted — §IV-A [11][12]: removing per-tuple
+// interpretation overhead makes queries fast. The "compiled" arm is the
+// vectorized executor pinned to one morsel worker, so the speedup comes
+// from batch kernels over encoded columns, not from parallelism.
+func E4VectorizedVsInterpreted(s Scale) *Table {
 	t := &Table{
 		ID:     "E4",
-		Title:  "fused compiled executor vs. Volcano interpreter",
-		Claim:  "compiling SQL (→C→LLVM in the paper, →fused closures here) yields significant speedups (§IV-A)",
-		Header: []string{"query", "interpreted", "compiled", "speedup"},
+		Title:  "single-worker vectorized executor vs. Volcano interpreter",
+		Claim:  "compiling SQL (→C→LLVM in the paper, →batch kernels over encoded columns here) yields significant speedups (§IV-A)",
+		Header: []string{"query", "interpreted", "vectorized(1 worker)", "speedup"},
 	}
 	eng := sqlexec.NewEngine()
 	eng.MustQuery(ordersSchemaSQL)
@@ -245,7 +247,7 @@ func E4CompiledVsInterpreted(s Scale) *Table {
 			st := time.Now()
 			eng.MustQuery(q.sql)
 			ti += time.Since(st)
-			eng.Mode = sqlexec.ModeCompiled
+			eng.Mode, eng.Workers = sqlexec.ModeVectorized, 1
 			st = time.Now()
 			eng.MustQuery(q.sql)
 			tc += time.Since(st)

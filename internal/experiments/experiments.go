@@ -90,7 +90,7 @@ var (
 func All(s Scale) []*Table {
 	return []*Table{
 		E1HTAPvsSplit(s), E2Compression(s), E3MergeStableKeys(s),
-		E4CompiledVsInterpreted(s), E5Pushdown(s), E6AgingPruning(s),
+		E4VectorizedVsInterpreted(s), E5Pushdown(s), E6AgingPruning(s),
 		E7SharedLog(s), E8ScaleOutSpeedup(s), E9ScaleUpVsOut(s),
 		E10HadoopPaths(s), E11TextEngine(s), E12GraphHierarchy(s),
 		E13GeoTimeseries(s), E14InEngineAlgebra(s), E15PlanningDisagg(s),
@@ -106,7 +106,7 @@ func All(s Scale) []*Table {
 func ByID(id string) (func(Scale) *Table, bool) {
 	m := map[string]func(Scale) *Table{
 		"E1": E1HTAPvsSplit, "E2": E2Compression, "E3": E3MergeStableKeys,
-		"E4": E4CompiledVsInterpreted, "E5": E5Pushdown, "E6": E6AgingPruning,
+		"E4": E4VectorizedVsInterpreted, "E5": E5Pushdown, "E6": E6AgingPruning,
 		"E7": E7SharedLog, "E8": E8ScaleOutSpeedup, "E9": E9ScaleUpVsOut,
 		"E10": E10HadoopPaths, "E11": E11TextEngine, "E12": E12GraphHierarchy,
 		"E13": E13GeoTimeseries, "E14": E14InEngineAlgebra, "E15": E15PlanningDisagg,

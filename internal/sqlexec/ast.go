@@ -1,9 +1,10 @@
 // Package sqlexec implements the relational query stack of the ecosystem:
 // a SQL subset with the paper's extensions, a rule- and cost-based
-// optimizer, and two executors over the column store — a Volcano-style
-// interpreter and a fused "compiled" executor that specializes pipelines
-// into closures, standing in for SAP HANA SOE's SQL→C→LLVM compilation
-// (§IV-A, experiment E4).
+// optimizer, and two executors over the column store — the default
+// vectorized executor, whose batch kernels over encoded columns remove
+// per-tuple interpretation the way SAP HANA SOE's SQL→C→LLVM compilation
+// does (§IV-A, experiment E4), and a Volcano-style interpreter kept as
+// its parity oracle and E4 baseline.
 package sqlexec
 
 import "repro/internal/value"

@@ -24,7 +24,7 @@ type Engine struct {
 	Reg  *Registry
 	Mode Mode
 	// Workers sizes the vectorized executor's per-query morsel pool;
-	// <=0 means one worker per CPU. Ignored by the row-at-a-time modes.
+	// <=0 means one worker per CPU. Ignored by the interpreter.
 	Workers int
 	// Prune participates in partition pruning (installed by the aging
 	// engine).

@@ -79,14 +79,14 @@ func (ctx *execCtx) getPool() *vecPool {
 	return ctx.pool
 }
 
-// Mode selects the executor implementation (experiment E4).
+// Mode selects the executor implementation (experiment E4). The zero
+// value is the default vectorized executor.
 type Mode int
 
 // Executor modes.
 const (
-	ModeCompiled    Mode = iota // fused closure pipelines
-	ModeInterpreted             // Volcano-style iterator tree
-	ModeVectorized              // morsel-parallel batch kernels (default)
+	ModeVectorized  Mode = iota // morsel-parallel batch kernels (default)
+	ModeInterpreted             // Volcano-style iterator tree: parity oracle and E4 baseline
 )
 
 // Run executes a plan to a materialized result with the default worker
@@ -97,7 +97,7 @@ func Run(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode) (*Re
 
 // RunWorkers executes a plan to a materialized result. workers sizes the
 // vectorized executor's morsel pool (<=0 means runtime.NumCPU()); the
-// row-at-a-time modes ignore it.
+// interpreter ignores it.
 func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, error) {
 	res, _, err := runMaybeProfiled(p, ts, params, reg, mode, workers, false)
 	return res, err
@@ -105,8 +105,8 @@ func RunWorkers(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mod
 
 // RunAnalyzed executes a plan like RunWorkers while also recording a
 // per-operator Profile — the engine of EXPLAIN ANALYZE. The profile's
-// Mode reflects the executor that actually ran the statement (a plan the
-// batch operators don't cover falls back to the compiled pipeline).
+// Mode is the requested executor, which is the one that ran: there is no
+// fallback between executors.
 func RunAnalyzed(p Plan, ts uint64, params []value.Value, reg *Registry, mode Mode, workers int) (*Result, *Profile, error) {
 	return runMaybeProfiled(p, ts, params, reg, mode, workers, true)
 }
@@ -124,32 +124,11 @@ func runMaybeProfiled(p Plan, ts uint64, params []value.Value, reg *Registry, mo
 		ctx.prof = prof
 		t0 = time.Now()
 	}
-	finish := func() {
-		if prof == nil {
-			return
-		}
-		prof.Total = time.Since(t0)
-		prof.finish(p)
-	}
 	if mode == ModeVectorized {
-		handled, err := runVectorized(p, ctx, res)
-		if err != nil {
+		if err := runVectorized(p, ctx, res); err != nil {
 			return nil, nil, err
 		}
-		if handled {
-			res.Stats.RowsOut = len(res.Rows)
-			finish()
-			return res, prof, nil
-		}
-		// Plan shape not covered by the batch operators: transparent
-		// fallback to the compiled row pipeline.
-		cVecPlanFallbacks.Inc()
-		mode = ModeCompiled
-		if prof != nil {
-			prof.Mode = mode
-		}
-	}
-	if mode == ModeInterpreted {
+	} else {
 		it, err := buildIter(p, ctx)
 		if err != nil {
 			return nil, nil, err
@@ -168,20 +147,12 @@ func runMaybeProfiled(p Plan, ts uint64, params []value.Value, reg *Registry, mo
 			}
 			res.Rows = append(res.Rows, row)
 		}
-	} else {
-		pipe, err := compilePlan(p, ctx)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := pipe(func(row value.Row) error {
-			res.Rows = append(res.Rows, row)
-			return nil
-		}); err != nil {
-			return nil, nil, err
-		}
 	}
 	res.Stats.RowsOut = len(res.Rows)
-	finish()
+	if prof != nil {
+		prof.Total = time.Since(t0)
+		prof.finish(p)
+	}
 	return res, prof, nil
 }
 
@@ -189,7 +160,8 @@ func runMaybeProfiled(p Plan, ts uint64, params []value.Value, reg *Registry, mo
 
 // iterator is the classic open/next/close operator interface. Every Next
 // call crosses an interface boundary and materializes a boxed row — the
-// per-tuple interpretation overhead query compilation removes (§IV-A).
+// per-tuple interpretation overhead the vectorized executor removes
+// (§IV-A).
 type iterator interface {
 	Open() error
 	Next() (value.Row, bool, error)
@@ -493,7 +465,7 @@ type joinIter struct {
 	rWidth   int
 
 	build   map[string][]value.Row
-	rRows   []value.Row // nested-loop fallback
+	rRows   []value.Row // build side of a join without equi keys (nested loop)
 	matches []value.Row
 	mi      int
 	cur     value.Row

@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -22,25 +23,23 @@ import (
 // runs — producing selection vectors, and only surviving positions
 // materialize boxed rows. Aggregation over a scan folds worker-local
 // partial tables merged at the end; hash-join builds partition across
-// workers. Output is kept byte-identical to the sequential executors:
-// scan batches emit in morsel order and merged aggregate groups sort by
-// first-seen input position.
-
-// errNoVector signals a plan shape the batch operators don't cover
-// (table functions, VALUES, joins without equi keys); Run falls back to
-// the row-at-a-time executors.
-var errNoVector = errors.New("sqlexec: plan not vectorizable")
+// workers. Output is kept byte-identical to the interpreter: scan batches
+// emit in morsel order and merged aggregate groups sort by first-seen
+// input position. Every plan shape has a batch operator, so a compile
+// error here is the statement's error.
 
 // vpipe pushes row batches into emit until exhausted.
 type vpipe func(emit func(rows []value.Row) error) error
 
-// runVectorized attempts the statement on the vectorized executor.
-// handled=false with a nil error means the plan isn't covered and the
-// caller should fall back; a non-nil error is a real execution failure.
-func runVectorized(p Plan, ctx *execCtx, res *Result) (bool, error) {
+// errStop terminates a pipeline early (LIMIT).
+var errStop = errors.New("sqlexec: pipeline stop")
+
+// runVectorized executes the statement on the vectorized executor,
+// appending its output to res.
+func runVectorized(p Plan, ctx *execCtx, res *Result) error {
 	vp, err := vecCompile(p, ctx)
 	if err != nil {
-		return false, nil
+		return err
 	}
 	defer func() {
 		if ctx.pool != nil {
@@ -52,10 +51,10 @@ func runVectorized(p Plan, ctx *execCtx, res *Result) (bool, error) {
 		res.Rows = append(res.Rows, rows...)
 		return nil
 	}); err != nil {
-		return false, err
+		return err
 	}
 	cVecQueries.Inc()
-	return true, nil
+	return nil
 }
 
 // vecCompile builds the batch pipeline for a plan node, attaching the
@@ -73,7 +72,11 @@ func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 	case *ScanPlan:
 		return vecScan(x, ctx)
 	case *VirtualScanPlan:
-		return vecVirtual(x, ctx)
+		return vecRows(newVirtualIter(x, ctx))
+	case *TableFuncPlan:
+		return vecRows(newTableFuncIter(x, ctx))
+	case *ValuesPlan:
+		return vecRows(newValuesIter(x, ctx))
 	case *FilterPlan:
 		return vecFilter(x, ctx)
 	case *ProjectPlan:
@@ -112,7 +115,47 @@ func vecCompileRaw(p Plan, ctx *execCtx) (vpipe, error) {
 	case *AliasPlan:
 		return vecCompile(x.Child, ctx)
 	}
-	return nil, errNoVector
+	return nil, fmt.Errorf("sql: no vectorized operator for %T", p)
+}
+
+// vecBatchRows caps the batches vecRows emits.
+const vecBatchRows = 1024
+
+// vecRows adapts a row source with no columnar storage behind it — VALUES,
+// a table function, a sys.* view — to a batch pipeline. Each emitted
+// batch is freshly allocated, so downstream operators may filter it in
+// place or retain it.
+func vecRows(it iterator, err error) (vpipe, error) {
+	if err != nil {
+		return nil, err
+	}
+	return func(emit func([]value.Row) error) error {
+		if err := it.Open(); err != nil {
+			return err
+		}
+		defer it.Close()
+		var batch []value.Row
+		for {
+			row, ok, err := it.Next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			batch = append(batch, row)
+			if len(batch) == vecBatchRows {
+				if err := emit(batch); err != nil {
+					return err
+				}
+				batch = nil
+			}
+		}
+		if len(batch) == 0 {
+			return nil
+		}
+		return emit(batch)
+	}, nil
 }
 
 // --- morsel-parallel scan ---------------------------------------------------
@@ -497,6 +540,75 @@ func intersectInto(a, b []int) []int {
 	return out
 }
 
+// colGetter reads one column at a physical row position without boxing
+// intermediary rows.
+type colGetter func(pos int) value.Value
+
+// makeGetter builds a specialized accessor spanning main and delta parts.
+func makeGetter(snap *columnstore.Snapshot, col int) colGetter {
+	mainRows := snap.MainRows()
+	mc := snap.MainColumn(col)
+	dc := snap.DeltaColumn(col)
+	deltaGet := func(pos int) value.Value {
+		d := pos - mainRows
+		if dc == nil || d >= dc.Len() {
+			return value.Null
+		}
+		return dc.Get(d)
+	}
+	if mc == nil {
+		return deltaGet
+	}
+	// Specialize on reader capabilities, not concrete structs: hot and
+	// paged warm columns expose the same accessors.
+	kind := mc.Kind()
+	if m, ok := mc.(columnstore.IntAccessor); ok && kind != value.KindFloat && kind != value.KindString {
+		return func(pos int) value.Value {
+			if pos < mainRows {
+				if mc.IsNull(pos) {
+					return value.Null
+				}
+				return value.Value{K: kind, I: m.Int64(pos)}
+			}
+			return deltaGet(pos)
+		}
+	}
+	if m, ok := mc.(columnstore.FloatAccessor); ok && kind == value.KindFloat {
+		return func(pos int) value.Value {
+			if pos < mainRows {
+				if mc.IsNull(pos) {
+					return value.Null
+				}
+				return value.Float(m.Float64(pos))
+			}
+			return deltaGet(pos)
+		}
+	}
+	return func(pos int) value.Value {
+		if pos < mainRows {
+			return mc.Get(pos)
+		}
+		return deltaGet(pos)
+	}
+}
+
+// attributeFaults charges the page faults that happened since the given
+// extstore counter snapshot to the stats block and operator profile.
+// Under concurrent queries the per-operator attribution is approximate
+// (the process-wide counters stay exact).
+func attributeFaults(stats *ExecStats, op *OpProfile, faults0, faultNS0 int64) {
+	faults1, faultNS1 := extstore.FaultCounters()
+	if faults1 == faults0 {
+		return
+	}
+	stats.PageFaults += int(faults1 - faults0)
+	stats.PageFaultMicros += int((faultNS1 - faultNS0) / 1000)
+	if op != nil {
+		op.pageFaults.Add(faults1 - faults0)
+		op.faultNS.Add(faultNS1 - faultNS0)
+	}
+}
+
 // --- batch filter / project -------------------------------------------------
 
 func vecFilter(x *FilterPlan, ctx *execCtx) (vpipe, error) {
@@ -773,9 +885,7 @@ func vecAggScan(x *AggPlan, s *ScanPlan, res colResolver, ctx *execCtx) (vpipe, 
 	return func(emit func([]value.Row) error) error {
 		// The scan child never passes through vecCompile here — its wall
 		// time is charged to the fused aggregate, while morsel/kernel/row
-		// counters still reach the scan node via the scanRun hook. Marked
-		// at run time so an aborted vectorized compile leaves no stale
-		// flag for the fallback executor.
+		// counters still reach the scan node via the scanRun hook.
 		if op := ctx.prof.node(s); op != nil {
 			op.fused = true
 		}
@@ -816,10 +926,12 @@ func vecAggScan(x *AggPlan, s *ScanPlan, res colResolver, ctx *execCtx) (vpipe, 
 
 // --- parallel partitioned hash join ----------------------------------------
 
+// vecJoin is a partitioned hash join. A join without equi keys (a
+// non-equi or constant ON) needs no separate nested-loop operator: every
+// build row hashes under the empty key into one bucket, every probe row
+// matches that whole bucket in build order, and the residual decides —
+// the interpreter's nested loop, row for row.
 func vecJoin(x *JoinPlan, ctx *execCtx) (vpipe, error) {
-	if len(x.EquiL) == 0 {
-		return nil, errNoVector // nested-loop joins stay row-at-a-time
-	}
 	if info, ok := joinCodeShape(x); ok {
 		return vecJoinCode(x, info, ctx)
 	}

@@ -75,7 +75,7 @@ var paramLookupPairs = []paramPair{
 func TestParamLookupMatchesLiteral(t *testing.T) {
 	e := paramLookupEngine(t)
 	for _, pp := range paramLookupPairs {
-		for _, mode := range []Mode{ModeInterpreted, ModeCompiled, ModeVectorized} {
+		for _, mode := range []Mode{ModeInterpreted, ModeVectorized} {
 			e.Mode = mode
 			lit := mustExec(t, e, pp.literal)
 			par := mustExec(t, e, pp.param, pp.params...)
@@ -139,7 +139,7 @@ func TestParamKindMismatchAndNull(t *testing.T) {
 		{`SELECT k, v FROM kv WHERE k = '42'`, value.String("42"), 1},
 		{`SELECT k, v FROM kv WHERE k = NULL`, value.Null, 0},
 	} {
-		for _, mode := range []Mode{ModeInterpreted, ModeCompiled, ModeVectorized} {
+		for _, mode := range []Mode{ModeInterpreted, ModeVectorized} {
 			e.Mode = mode
 			lit := mustExec(t, e, c.literal)
 			par := mustExec(t, e, `SELECT k, v FROM kv WHERE k = $1`, c.param)
@@ -161,7 +161,7 @@ func TestParamKindMismatchAndNull(t *testing.T) {
 	if _, err := e.Query(`SELECT k FROM kv WHERE k < 5 ORDER BY 7`); err == nil {
 		t.Fatal("literal ORDER BY 7 over one column should be an out-of-range position")
 	}
-	for _, mode := range []Mode{ModeInterpreted, ModeCompiled, ModeVectorized} {
+	for _, mode := range []Mode{ModeInterpreted, ModeVectorized} {
 		e.Mode = mode
 		r := mustExec(t, e, `SELECT k FROM kv WHERE k < 5 ORDER BY $1, k`, value.Int(7))
 		if got := resultKeys(r); !reflect.DeepEqual(got, resultKeys(mustExec(t, e, `SELECT k FROM kv WHERE k < 5 ORDER BY k`))) {

@@ -17,7 +17,7 @@ type colInfo struct {
 }
 
 // Plan is a logical/physical query plan node. The same tree is consumed by
-// both executors (interpreted and compiled).
+// both executors (vectorized and interpreted).
 type Plan interface {
 	columns() []colInfo
 }
@@ -756,8 +756,8 @@ func constOperand(e Expr, params []value.Value) (value.Value, bool) {
 // colConstCmp matches a plain comparison between a column and a constant
 // operand (constOperand), in either order, and returns it column-first:
 // "5 < a" comes back as (a, ">", 5). This is the one "column <op>
-// constant" matcher behind kernel binding, range and zone-map pruning and
-// the compiled executor's position-specialized predicates.
+// constant" matcher behind kernel binding and range and zone-map
+// pruning.
 func colConstCmp(e Expr, params []value.Value) (cr *ColRef, op string, v value.Value, ok bool) {
 	be, ok := e.(*BinaryExpr)
 	if !ok {
@@ -819,7 +819,7 @@ func classifyVecConjunct(e Expr, cols []colInfo, params []value.Value) (vecPred,
 //
 // The late-materialization paths (exec_vector_code.go) only engage on plan
 // shapes where key translation to canonical int64 codes is exact; anything
-// else keeps today's boxed behavior through the per-plan fallback.
+// else takes the boxed batch operators.
 
 // findScanCol resolves a column reference against a scan's output columns
 // with exactly the executor resolver's semantics (including the ambiguity

@@ -26,9 +26,9 @@ func sysTestEngine(t testing.TB) *Engine {
 	return e
 }
 
-// TestSysViewsAllModes scans every engine-local monitoring view under all
-// three executors: virtual tables must resolve and materialize identically
-// whether the plan is compiled, interpreted or vectorized.
+// TestSysViewsAllModes scans every engine-local monitoring view under both
+// executors: virtual tables must resolve and materialize identically
+// whether the plan is interpreted or vectorized.
 func TestSysViewsAllModes(t *testing.T) {
 	e := sysTestEngine(t)
 	views := e.SysViews().Names()
@@ -38,7 +38,7 @@ func TestSysViewsAllModes(t *testing.T) {
 	for _, m := range []struct {
 		name string
 		mode Mode
-	}{{"compiled", ModeCompiled}, {"interpreted", ModeInterpreted}, {"vectorized", ModeVectorized}} {
+	}{{"interpreted", ModeInterpreted}, {"vectorized", ModeVectorized}} {
 		e.Mode = m.mode
 		for _, v := range views {
 			res, err := e.Query(`SELECT * FROM ` + v)

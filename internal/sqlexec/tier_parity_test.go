@@ -11,8 +11,8 @@ import (
 // TestTierParity is the cross-tier correctness contract: the full parity
 // query catalog runs against an engine whose every table is demoted to
 // the warm tier under a buffer pool far smaller than the dataset, and
-// all three executors must produce output bit-for-bit identical to the
-// all-hot reference run. Under -race it also exercises concurrent page
+// both executors (the vectorized one at several worker counts) must
+// produce output bit-for-bit identical to the all-hot reference run. Under -race it also exercises concurrent page
 // faulting from the morsel workers.
 func TestTierParity(t *testing.T) {
 	hot := parityEngine(t)
@@ -53,24 +53,15 @@ func TestTierParity(t *testing.T) {
 		variants := withParamTwin(t, q.sql, q.params)
 		twins += len(variants) - 1
 		for _, v := range variants {
-			for _, mode := range []Mode{ModeInterpreted, ModeCompiled} {
-				warm.Mode = mode
+			for _, run := range []struct {
+				mode    Mode
+				workers int
+			}{{ModeInterpreted, 0}, {ModeVectorized, 0}, {ModeVectorized, 1}, {ModeVectorized, 4}} {
+				warm.Mode, warm.Workers = run.mode, run.workers
 				got := mustExec(t, warm, v.sql, v.params...)
 				if keys := resultKeys(got); !reflect.DeepEqual(keys, wantKeys) {
-					t.Errorf("%s: warm mode=%d output differs from all-hot (%d vs %d rows)",
-						v.sql, mode, len(keys), len(wantKeys))
-				}
-				if got.Stats.PageFaults > 0 {
-					faulted = true
-				}
-			}
-			for _, workers := range []int{1, 4} {
-				warm.Mode = ModeVectorized
-				warm.Workers = workers
-				got := mustExec(t, warm, v.sql, v.params...)
-				if keys := resultKeys(got); !reflect.DeepEqual(keys, wantKeys) {
-					t.Errorf("%s: warm vectorized(workers=%d) output differs from all-hot (%d vs %d rows)",
-						v.sql, workers, len(keys), len(wantKeys))
+					t.Errorf("%s: warm mode=%d workers=%d output differs from all-hot (%d vs %d rows)",
+						v.sql, run.mode, run.workers, len(keys), len(wantKeys))
 				}
 				if got.Stats.PageFaults > 0 {
 					faulted = true

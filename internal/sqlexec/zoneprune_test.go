@@ -82,7 +82,7 @@ func TestZonePruneProperty(t *testing.T) {
 		want := resultKeys(mustExec(t, hot, q))
 		// The literal query and its $N twin must prune the same zones.
 		for i, v := range withParamTwin(t, q, nil) {
-			for _, mode := range []Mode{ModeInterpreted, ModeCompiled, ModeVectorized} {
+			for _, mode := range []Mode{ModeInterpreted, ModeVectorized} {
 				warm.Mode = mode
 				got := mustExec(t, warm, v.sql, v.params...)
 				if keys := resultKeys(got); !reflect.DeepEqual(keys, want) {
