@@ -69,14 +69,17 @@ htap:
 	$(GO) test -race -run 'TestHTAPChaos' ./internal/sqlexec/
 	$(GO) test -run 'TestE24Shape' ./internal/experiments/
 
-# The observability suite under the race detector: fingerprint
+# The observability suite under the race detector: the latency
+# histogram against an exact quantile oracle (lifetime buckets, merge
+# through JSON, phase deltas, Prometheus buckets), fingerprint
 # normalization, the sys.* views on both executors, statement-stats
-# aggregation and eviction, slow-log retention, the registry <->
+# aggregation, quantiles and eviction, slow-log retention, the registry <->
 # sys.m_metrics <-> Prometheus consistency contract, the end-to-end
 # wire monitoring test (a SQL client polling sys.m_statements and
 # sys.m_connections under concurrent load), and the E25 self-observation
 # experiment shape.
 monitor:
+	$(GO) test -race -run 'TestHistogram|TestMerge|TestDelta|TestPrometheus' ./internal/stats/
 	$(GO) test -race -run 'TestNormalizeSQL|TestFingerprint|TestSysViews|TestStatementStats|TestSlowLogRetention|TestMetricsConsistency' ./internal/sqlexec/
 	$(GO) test -race -run 'TestMonitoringViewsOverWire' ./internal/pgwire/
 	$(GO) test -run 'TestE25Shape' ./internal/experiments/

@@ -42,7 +42,8 @@ type LoadConfig struct {
 	NoSetup  bool // skip CREATE/seed (tables already exist)
 
 	// Obs receives loadgen_* metrics; nil creates a private registry.
-	// The ring is deepened to 1<<14 samples so p999 is meaningful.
+	// The per-op quantiles come from its lifetime latency histograms, so
+	// they cover this run alone only when the registry is fresh.
 	Obs *stats.Registry
 }
 
@@ -102,7 +103,6 @@ func (c *LoadConfig) fill() {
 	}
 	if c.Obs == nil {
 		c.Obs = stats.NewRegistry()
-		c.Obs.SetHistogramCapacity(1 << 14)
 	}
 }
 
@@ -295,12 +295,12 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 		Obs:            obs,
 	}
 	for _, op := range []string{OpPoint, OpAgg, OpJoin, OpInsert} {
-		h := hists[op]
+		h := hists[op].Snapshot()
 		s := &OpStats{
 			Count:  opCounts[op].Load(),
 			Errors: opErrs[op].Load(),
-			P50:    h.Quantile(0.50),
-			P99:    h.Quantile(0.99),
+			P50:    h.P50,
+			P99:    h.P99,
 			P999:   h.Quantile(0.999),
 		}
 		rep.Errors += s.Errors

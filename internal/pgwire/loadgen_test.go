@@ -15,7 +15,6 @@ import (
 func TestLoadSmoke(t *testing.T) {
 	eng := sqlexec.NewEngine()
 	obs := stats.NewRegistry()
-	obs.SetHistogramCapacity(1 << 14)
 	srv, err := Serve(EngineBackend{Engine: eng}, Config{Addr: "127.0.0.1:0", Obs: obs})
 	if err != nil {
 		t.Fatalf("serve: %v", err)

@@ -42,9 +42,7 @@ type Engine struct {
 	// profile included — in the slow-query log. Zero disables profiling
 	// outside EXPLAIN ANALYZE / AnalyzeSQL.
 	SlowThreshold time.Duration
-	// SlowLogCap bounds the slow-query log ring (default 32).
-	SlowLogCap int
-	slow       slowLog
+	slow          slowLog
 	// Sys serves the virtual monitoring views of the `sys` schema
 	// (sys.m_statements, sys.m_sessions, ...). Engine-local views are
 	// registered at construction; outer layers (pgwire, extstore, soe)

@@ -178,20 +178,20 @@ func TestExplainAnalyzeStatement(t *testing.T) {
 func TestSlowQueryLogRetainsProfiles(t *testing.T) {
 	e := profileEngine(t)
 	e.SlowThreshold = time.Nanosecond // everything is slow
-	e.SlowLogCap = 2
-	for i := 0; i < 3; i++ {
+	for i := 0; i <= slowLogCap; i++ {
 		mustExec(t, e, fmt.Sprintf(`SELECT COUNT(*) FROM dim WHERE id > %d`, i))
 	}
 	slow := e.SlowQueries()
-	if len(slow) != 2 {
-		t.Fatalf("slow log length %d, want 2 (bounded)", len(slow))
+	if len(slow) != slowLogCap {
+		t.Fatalf("slow log length %d, want %d (bounded)", len(slow), slowLogCap)
 	}
-	if e.SlowQueryCount() != 3 {
-		t.Fatalf("slow total %d, want 3", e.SlowQueryCount())
+	if e.SlowQueryCount() != slowLogCap+1 {
+		t.Fatalf("slow total %d, want %d", e.SlowQueryCount(), slowLogCap+1)
 	}
 	// Newest first; the oldest statement (id > 0) was evicted.
-	if !strings.Contains(slow[0].SQL, "id > 2") || !strings.Contains(slow[1].SQL, "id > 1") {
-		t.Fatalf("wrong retention order: %q, %q", slow[0].SQL, slow[1].SQL)
+	newest, oldest := fmt.Sprintf("id > %d", slowLogCap), "id > 1"
+	if !strings.HasSuffix(slow[0].SQL, newest) || !strings.HasSuffix(slow[len(slow)-1].SQL, oldest) {
+		t.Fatalf("wrong retention order: %q ... %q", slow[0].SQL, slow[len(slow)-1].SQL)
 	}
 	for _, q := range slow {
 		if q.Profile == nil || q.Profile.Total <= 0 || q.Profile.Root == nil {
@@ -204,7 +204,7 @@ func TestSlowQueryLogRetainsProfiles(t *testing.T) {
 	// Fast queries stay out once the threshold is realistic.
 	e.SlowThreshold = time.Hour
 	mustExec(t, e, `SELECT COUNT(*) FROM dim`)
-	if e.SlowQueryCount() != 3 {
+	if e.SlowQueryCount() != slowLogCap+1 {
 		t.Fatalf("fast query leaked into slow log")
 	}
 }

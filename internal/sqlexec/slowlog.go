@@ -15,6 +15,9 @@ type SlowQuery struct {
 	Profile     *Profile
 }
 
+// slowLogCap is how many slow statements the log retains.
+const slowLogCap = 32
+
 // slowLog is a bounded ring of the most recent slow statements. When the
 // engine's SlowThreshold is set, every SELECT runs profiled and the ones
 // crossing the threshold land here — the profile is captured in flight,
@@ -25,38 +28,18 @@ type slowLog struct {
 	ring  []*SlowQuery
 	next  int
 	total int64
-	cap   int // SetSlowCapacity override; 0 defers to the engine field
 }
 
-func (l *slowLog) add(q *SlowQuery, capacity int) {
+func (l *slowLog) add(q *SlowQuery) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.cap > 0 {
-		capacity = l.cap
-	}
-	if capacity <= 0 {
-		capacity = 32
-	}
 	l.total++
-	if len(l.ring) == capacity {
-		// Steady state: overwrite the oldest entry.
-		l.ring[l.next] = q
-		l.next = (l.next + 1) % capacity
+	if len(l.ring) < slowLogCap {
+		l.ring = append(l.ring, q)
 		return
 	}
-	// Ring still filling, or the retention capacity changed since the
-	// last entry (SetSlowCapacity): rebuild chronologically, keep the
-	// newest entries that fit, and restart the ring at the new size.
-	chron := make([]*SlowQuery, 0, len(l.ring)+1)
-	for i := 0; i < len(l.ring); i++ {
-		chron = append(chron, l.ring[(l.next+i)%len(l.ring)])
-	}
-	chron = append(chron, q)
-	if len(chron) > capacity {
-		chron = chron[len(chron)-capacity:]
-	}
-	l.ring = chron
-	l.next = len(l.ring) % capacity
+	l.ring[l.next] = q
+	l.next = (l.next + 1) % slowLogCap
 }
 
 // recent returns retained slow queries, newest first.
@@ -79,18 +62,8 @@ func (e *Engine) maybeRecordSlow(sql string, prof *Profile) {
 	prof.SQL = sql
 	fp, _ := Fingerprint(sql)
 	e.slow.add(&SlowQuery{SQL: sql, Fingerprint: fp, When: time.Now(),
-		Total: prof.Total, Profile: prof}, e.SlowLogCap)
+		Total: prof.Total, Profile: prof})
 	e.Obs.Counter("sql_slow_queries_total").Inc()
-}
-
-// SetSlowCapacity reconfigures the slow-query log retention; the ring
-// resizes on the next retained statement, keeping the newest entries when
-// shrinking. Values <= 0 restore the construction-time default. Safe to
-// call while sessions are executing.
-func (e *Engine) SetSlowCapacity(n int) {
-	e.slow.mu.Lock()
-	e.slow.cap = n
-	e.slow.mu.Unlock()
 }
 
 // SlowQueries returns the retained slow statements, newest first.

@@ -4,18 +4,17 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Per-fingerprint workload statistics (pg_stat_statements-style): every
 // statement a Session executes is normalized to its fingerprint and
-// aggregated here — calls, errors, rows returned and a latency reservoir
-// for quantiles. sys.m_statements materializes this table; the PR-10
-// cost-based optimizer reads the same aggregates.
+// aggregated here — errors, rows returned and a lifetime latency
+// histogram, from which calls, total/min/max and quantiles are read.
+// sys.m_statements materializes this table.
 
-const (
-	defaultStmtCap = 512 // distinct fingerprints retained
-	stmtSampleCap  = 256 // latency samples kept per fingerprint
-)
+const stmtLogCap = 512 // distinct fingerprints retained
 
 // StatementStat is one fingerprint's aggregate, as exposed by
 // Engine.StatementStats and sys.m_statements.
@@ -35,9 +34,8 @@ type StatementStat struct {
 }
 
 type stmtEntry struct {
-	stat    StatementStat
-	samples []float64 // latency ring, ms
-	next    int
+	stat StatementStat // ID, Query, Errors, Rows, LastCall
+	lat  stats.Histogram
 }
 
 // stmtLog aggregates statements under one mutex; the map is bounded — at
@@ -47,12 +45,10 @@ type stmtEntry struct {
 type stmtLog struct {
 	mu      sync.Mutex
 	m       map[string]*stmtEntry
-	cap     int
 	evicted int64
 }
 
 func (l *stmtLog) record(id, norm string, d time.Duration, rows int64, failed bool) {
-	ms := float64(d) / float64(time.Millisecond)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.m == nil {
@@ -60,36 +56,18 @@ func (l *stmtLog) record(id, norm string, d time.Duration, rows int64, failed bo
 	}
 	e := l.m[id]
 	if e == nil {
-		capacity := l.cap
-		if capacity <= 0 {
-			capacity = defaultStmtCap
-		}
-		if len(l.m) >= capacity {
+		if len(l.m) >= stmtLogCap {
 			l.evictLeastCalled()
 		}
-		e = &stmtEntry{stat: StatementStat{ID: id, Query: norm, MinMs: ms}}
+		e = &stmtEntry{stat: StatementStat{ID: id, Query: norm}}
 		l.m[id] = e
 	}
-	s := &e.stat
-	s.Calls++
+	e.lat.Observe(float64(d) / float64(time.Millisecond))
 	if failed {
-		s.Errors++
+		e.stat.Errors++
 	}
-	s.Rows += rows
-	s.TotalMs += ms
-	if ms < s.MinMs {
-		s.MinMs = ms
-	}
-	if ms > s.MaxMs {
-		s.MaxMs = ms
-	}
-	s.LastCall = time.Now()
-	if len(e.samples) < stmtSampleCap {
-		e.samples = append(e.samples, ms)
-	} else {
-		e.samples[e.next] = ms
-		e.next = (e.next + 1) % stmtSampleCap
-	}
+	e.stat.Rows += rows
+	e.stat.LastCall = time.Now()
 }
 
 // evictLeastCalled drops the entry with the fewest calls; caller holds mu.
@@ -97,8 +75,8 @@ func (l *stmtLog) evictLeastCalled() {
 	var victim string
 	min := int64(-1)
 	for id, e := range l.m {
-		if min < 0 || e.stat.Calls < min {
-			min, victim = e.stat.Calls, id
+		if n := e.lat.Count(); min < 0 || n < min {
+			min, victim = n, id
 		}
 	}
 	if victim != "" {
@@ -107,23 +85,17 @@ func (l *stmtLog) evictLeastCalled() {
 	}
 }
 
-// snapshot returns the aggregates with quantiles computed from each
-// entry's latency reservoir, sorted by TotalMs descending.
+// snapshot returns the aggregates, sorted by TotalMs descending.
 func (l *stmtLog) snapshot() []StatementStat {
 	l.mu.Lock()
 	out := make([]StatementStat, 0, len(l.m))
-	rings := make([][]float64, 0, len(l.m))
 	for _, e := range l.m {
-		out = append(out, e.stat)
-		rings = append(rings, append([]float64(nil), e.samples...))
+		h, s := e.lat.Snapshot(), e.stat
+		s.Calls, s.TotalMs, s.MinMs, s.MaxMs = h.Count, h.Sum, h.Min, h.Max
+		s.P50Ms, s.P95Ms, s.P99Ms = h.P50, h.P95, h.P99
+		out = append(out, s)
 	}
 	l.mu.Unlock()
-	for i, ring := range rings {
-		sort.Float64s(ring)
-		out[i].P50Ms = quantileOf(ring, 0.50)
-		out[i].P95Ms = quantileOf(ring, 0.95)
-		out[i].P99Ms = quantileOf(ring, 0.99)
-	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].TotalMs != out[j].TotalMs {
 			return out[i].TotalMs > out[j].TotalMs
@@ -133,25 +105,9 @@ func (l *stmtLog) snapshot() []StatementStat {
 	return out
 }
 
-func quantileOf(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
-}
-
 // StatementStats returns the fingerprinted workload aggregates, highest
 // total time first — the data behind sys.m_statements.
 func (e *Engine) StatementStats() []StatementStat { return e.stmts.snapshot() }
-
-// SetStatementCapacity bounds how many distinct fingerprints are retained
-// (default 512); beyond it the least-called entry is evicted.
-func (e *Engine) SetStatementCapacity(n int) {
-	e.stmts.mu.Lock()
-	e.stmts.cap = n
-	e.stmts.mu.Unlock()
-}
 
 // StatementEvictions reports how many fingerprints were evicted by the
 // capacity bound — nonzero means the workload has more distinct shapes

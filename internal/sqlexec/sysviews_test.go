@@ -2,6 +2,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -95,13 +96,15 @@ func TestStatementStatsAggregation(t *testing.T) {
 	}
 
 	// Capacity: the log evicts the least-called shapes, keeps the hottest.
-	e.SetStatementCapacity(4)
 	for i := 0; i < 40; i++ {
 		mustExec(t, e, fmt.Sprintf(`SELECT * FROM acct WHERE id = %d`, i))
 	}
+	for i := 0; i <= stmtLogCap; i++ {
+		mustExec(t, e, fmt.Sprintf(`SELECT id AS c%d FROM acct WHERE id = 1`, i))
+	}
 	sts = e.StatementStats()
-	if len(sts) > 4 {
-		t.Fatalf("capacity 4 but %d entries retained", len(sts))
+	if len(sts) > stmtLogCap {
+		t.Fatalf("capacity %d but %d entries retained", stmtLogCap, len(sts))
 	}
 	if e.StatementEvictions() == 0 {
 		t.Fatal("no evictions counted")
@@ -117,21 +120,43 @@ func TestStatementStatsAggregation(t *testing.T) {
 	}
 }
 
-// TestSlowLogRetention: fingerprint stamping plus SetSlowCapacity resize
-// in both directions, with the ring staying newest-first.
+// sys.m_statements quantiles are nearest-rank over every call: the p99 of
+// ten calls at 1..10 ms is the 10 ms outlier.
+func TestStatementStatsQuantiles(t *testing.T) {
+	e := NewEngine()
+	for i := 1; i <= 10; i++ {
+		e.stmts.record("f1", "SELECT ?", time.Duration(i)*time.Millisecond, 0, false)
+	}
+	res := mustExec(t, e, `SELECT calls, total_ms, min_ms, max_ms, p50_ms, p99_ms FROM sys.m_statements WHERE fingerprint_id = 'f1'`)
+	if len(res.Rows) != 1 {
+		t.Fatalf("%d rows, want 1", len(res.Rows))
+	}
+	r := res.Rows[0]
+	if r[0].AsInt() != 10 || r[1].AsFloat() != 55 || r[2].AsFloat() != 1 || r[3].AsFloat() != 10 {
+		t.Fatalf("calls/total/min/max = %v", r)
+	}
+	for i, want := range map[int]float64{4: 5, 5: 10} {
+		if got := r[i].AsFloat(); math.Abs(got-want) > stats.RelativeError*want {
+			t.Fatalf("quantile column %d = %v, want %v", i, got, want)
+		}
+	}
+}
+
+// TestSlowLogRetention: fingerprint stamping and the bounded ring staying
+// newest-first past its capacity.
 func TestSlowLogRetention(t *testing.T) {
 	e := newTestEngine(t)
 	e.SlowThreshold = time.Nanosecond // everything is slow
-	e.SetSlowCapacity(3)
-	for i := 0; i < 7; i++ {
+	const n = slowLogCap + 8
+	for i := 0; i < n; i++ {
 		mustExec(t, e, fmt.Sprintf(`SELECT * FROM orders WHERE id = %d`, i))
 	}
 	got := e.SlowQueries()
-	if len(got) != 3 {
-		t.Fatalf("capacity 3 retained %d", len(got))
+	if len(got) != slowLogCap {
+		t.Fatalf("capacity %d retained %d", slowLogCap, len(got))
 	}
 	for i, q := range got {
-		want := fmt.Sprintf(`SELECT * FROM orders WHERE id = %d`, 6-i)
+		want := fmt.Sprintf(`SELECT * FROM orders WHERE id = %d`, n-1-i)
 		if q.SQL != want {
 			t.Fatalf("slot %d = %q, want %q (newest first)", i, q.SQL, want)
 		}
@@ -144,28 +169,11 @@ func TestSlowLogRetention(t *testing.T) {
 		}
 	}
 
-	// Growing keeps history; shrinking drops the oldest.
-	e.SetSlowCapacity(5)
-	for i := 7; i < 10; i++ {
-		mustExec(t, e, fmt.Sprintf(`SELECT * FROM orders WHERE id = %d`, i))
-	}
-	if got = e.SlowQueries(); len(got) != 5 {
-		t.Fatalf("after growth retained %d, want 5", len(got))
-	}
-	if got[0].SQL != `SELECT * FROM orders WHERE id = 9` {
-		t.Fatalf("newest = %q", got[0].SQL)
-	}
-	e.SetSlowCapacity(2)
-	mustExec(t, e, `SELECT * FROM orders WHERE id = 10`)
-	if got = e.SlowQueries(); len(got) != 2 || got[0].SQL != `SELECT * FROM orders WHERE id = 10` {
-		t.Fatalf("after shrink: %d entries, newest %q", len(got), got[0].SQL)
-	}
-
 	// The view joins against sys.m_statements by fingerprint_id.
 	res := mustExec(t, e,
 		`SELECT s.query, st.calls FROM sys.m_slow_queries s JOIN sys.m_statements st ON s.fingerprint_id = st.fingerprint_id`)
-	if len(res.Rows) != 2 {
-		t.Fatalf("slow/statements join returned %d rows, want 2", len(res.Rows))
+	if len(res.Rows) != slowLogCap {
+		t.Fatalf("slow/statements join returned %d rows, want %d", len(res.Rows), slowLogCap)
 	}
 }
 

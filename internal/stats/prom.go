@@ -11,11 +11,14 @@ import (
 // This file renders a Snapshot in the Prometheus text exposition format
 // (version 0.0.4) by hand — the repo is stdlib-only. Counters map to
 // `counter`, gauges to `gauge`, histograms to a real `histogram` family
-// (cumulative `_bucket{le=...}` lines from the lifetime bucket counts,
-// plus `_sum` and `_count`) and, because the scrape-side cannot recover
-// sliding-window quantiles from lifetime buckets, the ring-derived
-// p50/p95/p99 are additionally exported as `<name>_p50|_p95|_p99` gauge
-// families — the same three values the JSON snapshot carries.
+// (cumulative `_bucket{le=...}` lines plus `_sum` and `_count`). The `le`
+// values are the powers of four from 4^-5 (≈0.001) to 4^10 (≈1e6), which
+// spans microseconds to minutes in _ms histograms; each is a bucket upper
+// bound, so the cumulative counts are exact and include samples equal to
+// `le`. A scraper can only interpolate quantiles between those coarse
+// bounds, so each histogram's own p50/p95/p99 — the same three values the
+// JSON snapshot carries — are additionally exported as
+// `<name>_p50|_p95|_p99` gauge families.
 
 // PrometheusContentType is the Content-Type for the text exposition.
 const PrometheusContentType = "text/plain; version=0.0.4; charset=utf-8"
@@ -38,15 +41,21 @@ func (s Snapshot) Prometheus() string {
 			lastName = h.Name
 		}
 		name := promName(h.Name)
-		for _, b := range h.Buckets {
-			sb.WriteString(name + "_bucket" + promLabels(h.Labels, `le="`+formatFloat(b.LE)+`"`) + " " + strconv.FormatInt(b.N, 10) + "\n")
+		var cum int64
+		i := 0
+		for e := -10; e <= 20; e += 2 {
+			le := math.Ldexp(1, e)
+			for ; i < len(h.Buckets) && bucketPoint(h.Buckets[i].K, 1) <= le; i++ {
+				cum += h.Buckets[i].N
+			}
+			sb.WriteString(name + "_bucket" + promLabels(h.Labels, `le="`+formatFloat(le)+`"`) + " " + strconv.FormatInt(cum, 10) + "\n")
 		}
 		sb.WriteString(name + "_bucket" + promLabels(h.Labels, `le="+Inf"`) + " " + strconv.FormatInt(h.Count, 10) + "\n")
 		sb.WriteString(name + "_sum" + promLabels(h.Labels) + " " + formatFloat(h.Sum) + "\n")
 		sb.WriteString(name + "_count" + promLabels(h.Labels) + " " + strconv.FormatInt(h.Count, 10) + "\n")
 	}
 
-	// Ring-window percentiles as gauge families, one per quantile.
+	// The histograms' own percentiles as gauge families, one per quantile.
 	for _, q := range []struct {
 		suffix string
 		get    func(HistogramSnap) float64

@@ -143,7 +143,9 @@ func TestPrometheusExposition(t *testing.T) {
 		`soe_queries_total{result="error",service="v2dqp"} 2`,
 		`soe_queries_total{result="ok",service="v2dqp"} 7`,
 		`soe_backlog{node="node0",service="v2dqp"} 3.5`,
-		`soe_query_ms_bucket{le="25",service="v2dqp"} 26`,
+		`soe_query_ms_bucket{le="16",service="v2dqp"} 17`,
+		`soe_query_ms_bucket{le="64",service="v2dqp"} 65`,
+		`soe_query_ms_bucket{le="256",service="v2dqp"} 100`,
 		`soe_query_ms_bucket{le="+Inf",service="v2dqp"} 100`,
 		`soe_query_ms_sum{service="v2dqp"} 4950`,
 		`soe_query_ms_count{service="v2dqp"} 100`,
@@ -165,47 +167,19 @@ func TestPrometheusExposition(t *testing.T) {
 	}
 }
 
-// The quantile sample ring is a sliding window: after capacity is
-// exceeded, old observations no longer influence p50/p95/p99, while the
-// lifetime buckets/count/sum still include them. This pins the
-// documented eviction contract.
-func TestHistogramQuantilesAtCapacity(t *testing.T) {
-	h := NewHistogram(10)
-	// 100 old samples at 1000, then 10 recent samples 1..10: the window
-	// holds only the recent ten.
-	for i := 0; i < 100; i++ {
-		h.Observe(1000)
+// A microsecond-scale histogram keeps its large samples below a finite
+// `le`, not only in +Inf.
+func TestPrometheusMicrosecondBuckets(t *testing.T) {
+	r := NewRegistry()
+	r.Histogram("busy_us").Observe(20000)
+	r.Histogram("busy_us").Observe(3)
+	text := r.Snapshot().Prometheus()
+	if errs := checkPrometheusText(text); len(errs) > 0 {
+		t.Fatalf("invalid exposition: %v\n%s", errs, text)
 	}
-	for i := 1; i <= 10; i++ {
-		h.Observe(float64(i))
-	}
-	snap := h.snapshot("lat_ms", nil)
-	if snap.Count != 110 {
-		t.Fatalf("lifetime count %d, want 110", snap.Count)
-	}
-	if snap.Max != 1000 || snap.Min != 1 {
-		t.Fatalf("lifetime min/max %v/%v", snap.Min, snap.Max)
-	}
-	if snap.P50 != 5 || snap.P99 != 10 {
-		t.Fatalf("window quantiles p50=%v p99=%v, want 5 and 10 (old samples must be evicted)", snap.P50, snap.P99)
-	}
-	// Buckets are lifetime: the 1000s are still counted under le=1000.
-	var le1000 int64
-	for _, b := range snap.Buckets {
-		if b.LE == 1000 {
-			le1000 = b.N
+	for _, want := range []string{`busy_us_bucket{le="4"} 1`, `busy_us_bucket{le="16384"} 1`, `busy_us_bucket{le="65536"} 2`} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("missing %q in:\n%s", want, text)
 		}
-	}
-	if le1000 != 110 {
-		t.Fatalf("le=1000 bucket %d, want 110 (buckets never evict)", le1000)
-	}
-
-	// Exactly at capacity, quantiles cover all samples ever observed.
-	h2 := NewHistogram(5)
-	for _, v := range []float64{5, 1, 4, 2, 3} {
-		h2.Observe(v)
-	}
-	if got := h2.Quantile(0.5); got != 3 {
-		t.Fatalf("p50 at capacity = %v, want 3", got)
 	}
 }

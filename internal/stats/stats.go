@@ -69,56 +69,56 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// DefaultHistogramCapacity is the sample-ring size of registry-created
-// histograms: quantiles reflect the most recent observations.
-const DefaultHistogramCapacity = 512
+// Histogram layout: log-linear buckets, subBuckets equal sub-buckets per
+// power of two. Bucket k = e·subBuckets + s holds the values in
+// (2^(e-1)·(1+s/subBuckets), 2^(e-1)·(1+(s+1)/subBuckets)]. Buckets are
+// closed above, so every power of two is an upper bound and the
+// Prometheus exposition's `le` lines count samples equal to `le`. One
+// zero bucket, sorted before all others, holds the samples ≤ 0.
+const (
+	subBits    = 6
+	subBuckets = 1 << subBits
+	zeroBucket = math.MinInt32
+)
 
-// DefaultBuckets are the cumulative-bucket upper bounds of registry
-// histograms, in the metric's own unit (milliseconds for _ms latency
-// histograms, raw values otherwise). Bucket counts are lifetime totals —
-// unlike the quantile sample ring they never evict — so the Prometheus
-// exposition can emit a true cumulative histogram.
-var DefaultBuckets = []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 500, 1000, 2500, 5000}
+// RelativeError bounds how far a reported quantile lies from the true
+// nearest-rank sample, relative to that sample: a quantile is the
+// midpoint of the sample's bucket, and a bucket is at most 1/subBuckets
+// of its lower bound wide.
+const RelativeError = 1.0 / (2 * subBuckets)
 
-// Histogram tracks a latency (or size) distribution along two axes:
-//
-//   - Lifetime state: count, sum, min, max and per-bucket counts
-//     (DefaultBuckets bounds). These are exact over every observation
-//     ever made and never evict.
-//   - A bounded ring of the most recent `capacity` samples, from which
-//     p50/p95/p99 are computed by nearest rank. Once the ring saturates
-//     (after `capacity` observations) each new sample overwrites the
-//     oldest — a sliding window, not a reservoir — so quantiles describe
-//     the last `capacity` observations only, which is what an operator
-//     tuning hotspot detection or staleness bounds actually wants.
-//     TestHistogramQuantilesAtCapacity pins this eviction contract.
-//
-// Both the JSON snapshot and the Prometheus exposition export the same
-// precomputed P50/P95/P99 fields, so the two surfaces can never disagree.
-// Safe on a nil receiver.
+// bucketOf returns the bucket holding v.
+func bucketOf(v float64) int {
+	if !(v > 0) {
+		return zeroBucket
+	}
+	frac, exp := math.Frexp(v) // v = frac·2^exp, frac in [0.5, 1)
+	return exp*subBuckets + int(math.Ceil((2*frac-1)*subBuckets)) - 1
+}
+
+// bucketPoint returns the value a fraction f of the way through bucket k:
+// f = 1 is its inclusive upper bound, f = 0.5 its midpoint (the value a
+// quantile falling into it reports).
+func bucketPoint(k int, f float64) float64 {
+	if k == zeroBucket {
+		return 0
+	}
+	return math.Ldexp(1+(float64(k&(subBuckets-1))+f)/subBuckets, k>>subBits-1)
+}
+
+// Histogram is a latency (or size) distribution over every observation
+// ever made: exact count, sum, min and max, plus log-linear bucket counts
+// from which quantiles are read to within RelativeError. Bucket counts
+// add, so snapshots of many histograms merge exactly (see Merge). The
+// zero value is ready to use, and all methods are safe on a nil
+// receiver.
 type Histogram struct {
 	mu      sync.Mutex
-	ring    []float64
-	next    int
 	count   int64
 	sum     float64
 	min     float64
 	max     float64
-	bounds  []float64 // bucket upper bounds (ascending); nil = no buckets
-	buckets []int64   // non-cumulative per-bound counts; values > last bound land only in count
-}
-
-// NewHistogram returns a histogram with the given sample-ring capacity
-// (minimum 1) and DefaultBuckets bucket bounds.
-func NewHistogram(capacity int) *Histogram {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Histogram{
-		ring:    make([]float64, 0, capacity),
-		bounds:  DefaultBuckets,
-		buckets: make([]int64, len(DefaultBuckets)),
-	}
+	buckets map[int]int64
 }
 
 // Observe records one sample.
@@ -126,6 +126,7 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
+	k := bucketOf(v)
 	h.mu.Lock()
 	if h.count == 0 || v < h.min {
 		h.min = v
@@ -135,15 +136,10 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.count++
 	h.sum += v
-	if i := sort.SearchFloat64s(h.bounds, v); i < len(h.buckets) {
-		h.buckets[i]++
+	if h.buckets == nil {
+		h.buckets = make(map[int]int64)
 	}
-	if len(h.ring) < cap(h.ring) {
-		h.ring = append(h.ring, v)
-	} else {
-		h.ring[h.next] = v
-		h.next = (h.next + 1) % cap(h.ring)
-	}
+	h.buckets[k]++
 	h.mu.Unlock()
 }
 
@@ -163,55 +159,23 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1, nearest-rank) over the
-// retained samples. Empty histograms return 0.
-func (h *Histogram) Quantile(q float64) float64 {
+// Snapshot captures the histogram's state with P50/P95/P99 computed; Name
+// and Labels are left empty.
+func (h *Histogram) Snapshot() HistogramSnap {
+	var s HistogramSnap
 	if h == nil {
-		return 0
+		return s
 	}
 	h.mu.Lock()
-	samples := append([]float64(nil), h.ring...)
-	h.mu.Unlock()
-	return quantile(samples, q)
-}
-
-func quantile(samples []float64, q float64) float64 {
-	if len(samples) == 0 {
-		return 0
-	}
-	sort.Float64s(samples)
-	if q <= 0 {
-		return samples[0]
-	}
-	if q >= 1 {
-		return samples[len(samples)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(samples)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return samples[idx]
-}
-
-func (h *Histogram) snapshot(name string, labels []string) HistogramSnap {
-	h.mu.Lock()
-	samples := append([]float64(nil), h.ring...)
-	snap := HistogramSnap{
-		Name: name, Labels: labels,
-		Count: h.count, Sum: h.sum, Min: h.min, Max: h.max,
-	}
-	// Export buckets cumulatively (Prometheus `le` semantics); the
-	// implicit +Inf bucket equals Count and is synthesized on exposition.
-	var cum int64
-	for i, b := range h.bounds {
-		cum += h.buckets[i]
-		snap.Buckets = append(snap.Buckets, BucketSnap{LE: b, N: cum})
+	s.Count, s.Sum, s.Min, s.Max = h.count, h.sum, h.min, h.max
+	s.Buckets = make([]BucketSnap, 0, len(h.buckets))
+	for k, n := range h.buckets {
+		s.Buckets = append(s.Buckets, BucketSnap{K: k, N: n})
 	}
 	h.mu.Unlock()
-	snap.P50 = quantile(samples, 0.50)
-	snap.P95 = quantile(samples, 0.95)
-	snap.P99 = quantile(samples, 0.99)
-	return snap
+	sort.Slice(s.Buckets, func(i, j int) bool { return s.Buckets[i].K < s.Buckets[j].K })
+	s.setQuantiles()
+	return s
 }
 
 // Registry names and owns metrics. Lookups take a lock-free fast path
@@ -221,7 +185,6 @@ func (h *Histogram) snapshot(name string, labels []string) HistogramSnap {
 // unconditionally and enabled by supplying a registry.
 type Registry struct {
 	base     []string // labels stamped on every metric
-	histCap  int
 	counters sync.Map // key -> *counterEntry
 	gauges   sync.Map // key -> *gaugeEntry
 	hists    sync.Map // key -> *histEntry
@@ -248,17 +211,7 @@ type histEntry struct {
 // NewRegistry creates a registry; baseLabels ("key=value") are attached
 // to every metric it hands out.
 func NewRegistry(baseLabels ...string) *Registry {
-	return &Registry{base: append([]string(nil), baseLabels...), histCap: DefaultHistogramCapacity}
-}
-
-// SetHistogramCapacity changes the sample-ring size of histograms created
-// after the call — harnesses that report tail quantiles (p999) need a
-// deeper ring than the operator-dashboard default. Call it before the
-// first Histogram lookup; it does not resize existing rings.
-func (r *Registry) SetHistogramCapacity(n int) {
-	if r != nil && n > 0 {
-		r.histCap = n
-	}
+	return &Registry{base: append([]string(nil), baseLabels...)}
 }
 
 // Default is the process-wide registry used by layers with no natural
@@ -322,7 +275,7 @@ func (r *Registry) Histogram(name string, labels ...string) *Histogram {
 	if e, ok := r.hists.Load(k); ok {
 		return e.(*histEntry).h
 	}
-	e, _ := r.hists.LoadOrStore(k, &histEntry{name: name, labels: all, h: NewHistogram(r.histCap)})
+	e, _ := r.hists.LoadOrStore(k, &histEntry{name: name, labels: all, h: &Histogram{}})
 	return e.(*histEntry).h
 }
 
@@ -342,17 +295,16 @@ type GaugeSnap struct {
 	Value  float64  `json:"value"`
 }
 
-// BucketSnap is one cumulative histogram bucket: N observations were
-// ≤ LE. Only finite bounds are listed; the +Inf bucket is the lifetime
-// Count.
+// BucketSnap is one non-empty histogram bucket: N observations fell into
+// bucket K (see Histogram for the layout).
 type BucketSnap struct {
-	LE float64 `json:"le"`
-	N  int64   `json:"n"`
+	K int   `json:"k"`
+	N int64 `json:"n"`
 }
 
-// HistogramSnap is one histogram's state in a snapshot, quantiles
-// precomputed. P50/P95/P99 come from the recent-sample ring (see
-// Histogram); Buckets are exact lifetime cumulative counts.
+// HistogramSnap is one histogram's state in a snapshot: exact lifetime
+// count, sum, min and max, the non-empty buckets in ascending order, and
+// P50/P95/P99 precomputed from them.
 type HistogramSnap struct {
 	Name    string       `json:"name"`
 	Labels  []string     `json:"labels,omitempty"`
@@ -364,6 +316,48 @@ type HistogramSnap struct {
 	P95     float64      `json:"p95"`
 	P99     float64      `json:"p99"`
 	Buckets []BucketSnap `json:"buckets,omitempty"`
+}
+
+// Quantile returns the nearest-rank q-quantile (0 ≤ q ≤ 1): the midpoint
+// of the bucket holding rank ceil(q·Count), clamped to [Min, Max], which
+// is within RelativeError of the sample at that rank. Empty histograms
+// return 0.
+func (s HistogramSnap) Quantile(q float64) float64 {
+	if s.Count == 0 {
+		return 0
+	}
+	rank := int64(math.Ceil(q * float64(s.Count)))
+	var cum int64
+	for _, b := range s.Buckets {
+		if cum += b.N; cum >= rank {
+			return min(max(bucketPoint(b.K, 0.5), s.Min), s.Max)
+		}
+	}
+	return s.Max
+}
+
+func (s *HistogramSnap) setQuantiles() {
+	s.P50, s.P95, s.P99 = s.Quantile(0.50), s.Quantile(0.95), s.Quantile(0.99)
+}
+
+// addBuckets returns a + sign·b by bucket, dropping buckets that end up
+// empty.
+func addBuckets(a, b []BucketSnap, sign int64) []BucketSnap {
+	m := make(map[int]int64, len(a)+len(b))
+	for _, x := range a {
+		m[x.K] += x.N
+	}
+	for _, x := range b {
+		m[x.K] += sign * x.N
+	}
+	out := make([]BucketSnap, 0, len(m))
+	for k, n := range m {
+		if n != 0 {
+			out = append(out, BucketSnap{K: k, N: n})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].K < out[j].K })
+	return out
 }
 
 // Snapshot is a typed, JSON-serializable view of a registry (or of many
@@ -392,7 +386,9 @@ func (r *Registry) Snapshot() Snapshot {
 	})
 	r.hists.Range(func(_, v any) bool {
 		e := v.(*histEntry)
-		s.Histograms = append(s.Histograms, e.h.snapshot(e.name, e.labels))
+		h := e.h.Snapshot()
+		h.Name, h.Labels = e.name, e.labels
+		s.Histograms = append(s.Histograms, h)
 		return true
 	})
 	s.sort()
@@ -414,6 +410,7 @@ func (s *Snapshot) sort() {
 // Counter returns the value of the counter with exactly this name and
 // label set, and whether it exists.
 func (s Snapshot) Counter(name string, labels ...string) (int64, bool) {
+	labels = append([]string(nil), labels...)
 	sort.Strings(labels)
 	k := metricKey(name, labels)
 	for _, c := range s.Counters {
@@ -471,10 +468,9 @@ func LabelValue(labels []string, key string) (string, bool) {
 }
 
 // Merge combines snapshots: counters with identical name+labels sum,
-// gauges take the later snapshot's value, histograms combine count/sum
-// and min/max exactly while quantiles take the per-source maximum (a
-// conservative upper bound — exact cross-source quantiles would need the
-// raw samples).
+// gauges take the later snapshot's value, and histograms add count, sum
+// and bucket counts and keep the outer min/max, so their quantiles are
+// those of one histogram fed every source's samples.
 func Merge(snaps ...Snapshot) Snapshot {
 	counters := map[string]*CounterSnap{}
 	gauges := map[string]*GaugeSnap{}
@@ -514,25 +510,8 @@ func Merge(snaps ...Snapshot) Snapshot {
 				}
 				e.Count += h.Count
 				e.Sum += h.Sum
-				e.P50 = math.Max(e.P50, h.P50)
-				e.P95 = math.Max(e.P95, h.P95)
-				e.P99 = math.Max(e.P99, h.P99)
-				// Bucket counts sum exactly when both sides share the
-				// standard bounds; a shape mismatch drops buckets rather
-				// than merge misaligned bounds.
-				if len(e.Buckets) == len(h.Buckets) {
-					merged := append([]BucketSnap(nil), e.Buckets...)
-					for i := range merged {
-						if merged[i].LE != h.Buckets[i].LE {
-							merged = nil
-							break
-						}
-						merged[i].N += h.Buckets[i].N
-					}
-					e.Buckets = merged
-				} else {
-					e.Buckets = nil
-				}
+				e.Buckets = addBuckets(e.Buckets, h.Buckets, 1)
+				e.setQuantiles()
 			} else {
 				cp := h
 				hists[k] = &cp
@@ -555,14 +534,20 @@ func Merge(snaps ...Snapshot) Snapshot {
 	return out
 }
 
-// Delta subtracts counter values in before from those in after (new
-// counters pass through), dropping counters that did not change. Gauges
-// and histograms are taken from after unchanged. Benchmark harnesses use
-// this to report what one phase did.
+// Delta reports what happened between two snapshots of the same
+// registries. Counters and histograms are subtracted (new ones pass
+// through) and dropped when unchanged; gauges are taken from after. A
+// histogram delta's min and max are the midpoints of its outermost
+// buckets, clamped to after's min and max. Benchmark harnesses use this
+// to report what one phase did.
 func Delta(before, after Snapshot) Snapshot {
 	prev := map[string]int64{}
 	for _, c := range before.Counters {
 		prev[metricKey(c.Name, c.Labels)] = c.Value
+	}
+	prevH := map[string]HistogramSnap{}
+	for _, h := range before.Histograms {
+		prevH[metricKey(h.Name, h.Labels)] = h
 	}
 	var out Snapshot
 	for _, c := range after.Counters {
@@ -572,7 +557,17 @@ func Delta(before, after Snapshot) Snapshot {
 		}
 	}
 	out.Gauges = append(out.Gauges, after.Gauges...)
-	out.Histograms = append(out.Histograms, after.Histograms...)
+	for _, h := range after.Histograms {
+		b := prevH[metricKey(h.Name, h.Labels)]
+		if h.Count == b.Count {
+			continue
+		}
+		d := HistogramSnap{Name: h.Name, Labels: h.Labels, Count: h.Count - b.Count, Sum: h.Sum - b.Sum,
+			Min: h.Min, Max: h.Max, Buckets: addBuckets(h.Buckets, b.Buckets, -1)}
+		d.Min, d.Max = d.Quantile(0), d.Quantile(1) // outermost bucket midpoints, clamped
+		d.setQuantiles()
+		out.Histograms = append(out.Histograms, d)
+	}
 	out.sort()
 	return out
 }

@@ -2,76 +2,153 @@ package stats
 
 import (
 	"encoding/json"
+	"math"
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 )
 
 func TestHistogramEmpty(t *testing.T) {
-	h := NewHistogram(8)
+	h := &Histogram{}
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if v := h.Quantile(q); v != 0 {
+		if v := h.Snapshot().Quantile(q); v != 0 {
 			t.Fatalf("empty histogram q%.2f = %v, want 0", q, v)
 		}
 	}
-	snap := h.snapshot("x_ms", nil)
+	snap := h.Snapshot()
 	if snap.Count != 0 || snap.Sum != 0 || snap.Min != 0 || snap.Max != 0 || snap.P50 != 0 || snap.P99 != 0 {
 		t.Fatalf("empty snapshot not zeroed: %+v", snap)
 	}
 }
 
 func TestHistogramSingleSample(t *testing.T) {
-	h := NewHistogram(8)
+	h := &Histogram{}
 	h.Observe(42)
 	for _, q := range []float64{0, 0.5, 0.95, 0.99, 1} {
-		if v := h.Quantile(q); v != 42 {
+		if v := h.Snapshot().Quantile(q); v != 42 {
 			t.Fatalf("single-sample q%.2f = %v, want 42", q, v)
 		}
 	}
-	snap := h.snapshot("x_ms", nil)
+	snap := h.Snapshot()
 	if snap.Count != 1 || snap.Sum != 42 || snap.Min != 42 || snap.Max != 42 {
 		t.Fatalf("single-sample snapshot wrong: %+v", snap)
 	}
 }
 
-func TestHistogramQuantiles(t *testing.T) {
-	h := NewHistogram(100)
-	for i := 1; i <= 100; i++ {
-		h.Observe(float64(i))
+// nearestRank is the exact oracle: the sample at rank ceil(q·n) of the
+// sorted samples.
+func nearestRank(samples []float64, q float64) float64 {
+	sorted := append([]float64(nil), samples...)
+	sort.Float64s(sorted)
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	return sorted[max(0, min(i, len(sorted)-1))]
+}
+
+var testQuantiles = []float64{0, 0.01, 0.5, 0.9, 0.95, 0.99, 0.999, 1}
+
+// checkQuantiles asserts every test quantile of snap lies within
+// RelativeError of the oracle over samples.
+func checkQuantiles(t *testing.T, label string, snap HistogramSnap, samples []float64) {
+	t.Helper()
+	for _, q := range testQuantiles {
+		got, want := snap.Quantile(q), nearestRank(samples, q)
+		if math.Abs(got-want) > RelativeError*math.Abs(want) {
+			t.Fatalf("%s: q%v = %v, want %v within %v", label, q, got, want, RelativeError)
+		}
 	}
-	cases := map[float64]float64{0.50: 50, 0.95: 95, 0.99: 99, 1: 100, 0: 1}
-	for q, want := range cases {
-		if got := h.Quantile(q); got != want {
-			t.Fatalf("q%.2f = %v, want %v", q, got, want)
+	for q, got := range map[float64]float64{0.50: snap.P50, 0.95: snap.P95, 0.99: snap.P99} {
+		if got != snap.Quantile(q) {
+			t.Fatalf("%s: precomputed p%v = %v, Quantile says %v", label, q*100, got, snap.Quantile(q))
 		}
 	}
 }
 
-func TestHistogramSaturatedRing(t *testing.T) {
-	h := NewHistogram(4)
-	// 1..8: the ring retains only the last 4 samples (5,6,7,8), but
-	// lifetime count/sum/min/max cover all 8.
-	for i := 1; i <= 8; i++ {
-		h.Observe(float64(i))
+func logUniform(rng *rand.Rand, lo, hi float64) float64 {
+	return lo * math.Pow(hi/lo, rng.Float64())
+}
+
+// TestHistogramQuantiles compares quantiles with the exact
+// nearest-rank oracle across distributions: every quantile within
+// RelativeError, count/min/max/sum exact.
+func TestHistogramQuantiles(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, d := range []struct {
+		name string
+		n    int
+		gen  func(i int) float64
+	}{
+		{"ints 1..100", 100, func(i int) float64 { return float64(i%100 + 1) }},
+		{"half zeros", 1000, func(i int) float64 {
+			if i%2 == 0 {
+				return 0
+			}
+			return rng.ExpFloat64()
+		}},
+		{"sub-µs", 1000, func(int) float64 { return logUniform(rng, 1e-7, 1e-3) }},
+		{"1e-3..1e7", 5000, func(int) float64 { return logUniform(rng, 1e-3, 1e7) }},
+		{"lognormal, 20000 samples", 20000, func(int) float64 { return math.Exp(rng.NormFloat64()*2 + 1) }},
+	} {
+		h := &Histogram{}
+		samples := make([]float64, d.n)
+		var sum float64
+		for i := range samples {
+			samples[i] = d.gen(i)
+			sum += samples[i]
+			h.Observe(samples[i])
+		}
+		snap := h.Snapshot()
+		if snap.Count != int64(len(samples)) || snap.Sum != sum ||
+			snap.Min != nearestRank(samples, 0) || snap.Max != nearestRank(samples, 1) {
+			t.Fatalf("%s: lifetime stats wrong: count=%d sum=%v min=%v max=%v", d.name, snap.Count, snap.Sum, snap.Min, snap.Max)
+		}
+		checkQuantiles(t, d.name, snap, samples)
 	}
-	if got := h.Quantile(0); got != 5 {
-		t.Fatalf("saturated ring min-quantile = %v, want 5 (oldest retained)", got)
-	}
-	if got := h.Quantile(1); got != 8 {
-		t.Fatalf("saturated ring max-quantile = %v, want 8", got)
-	}
-	snap := h.snapshot("x_ms", nil)
-	if snap.Count != 8 || snap.Sum != 36 || snap.Min != 1 || snap.Max != 8 {
-		t.Fatalf("lifetime stats wrong after saturation: %+v", snap)
+	// Buckets close above: each upper bound (every power of two among
+	// them) lands in its own bucket, the next float in the next bucket.
+	for k := -30 * subBuckets; k <= 30*subBuckets; k++ {
+		hi := bucketPoint(k, 1)
+		if bucketOf(hi) != k || bucketOf(math.Nextafter(hi, math.Inf(1))) != k+1 {
+			t.Fatalf("bucket %d: upper bound %v not closed above", k, hi)
+		}
 	}
 }
 
-func TestHistogramCapacityFloor(t *testing.T) {
-	h := NewHistogram(0)
-	h.Observe(1)
-	h.Observe(2)
-	if got := h.Quantile(0.5); got != 2 {
-		t.Fatalf("capacity-1 ring keeps latest: got %v", got)
+// TestMergeThroughJSON merges three registries' snapshots after a JSON
+// round trip (as the StatsService ships them) and expects exactly the
+// quantiles of one histogram fed every sample. Samples are multiples of
+// 2^-10, so every partial sum is exact and Sum compares equal whatever
+// the addition order.
+func TestMergeThroughJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	all := &Histogram{}
+	var samples []float64
+	var snaps []Snapshot
+	for node, scale := range []float64{1, 10, 1000} {
+		r := NewRegistry()
+		for i := 0; i < 3000; i++ {
+			v := math.Round(rng.ExpFloat64()*scale*1024) / 1024
+			r.Histogram("lat_ms").Observe(v)
+			all.Observe(v)
+			samples = append(samples, v)
+		}
+		data, err := json.Marshal(r.Snapshot())
+		if err != nil {
+			t.Fatalf("node %d: marshal: %v", node, err)
+		}
+		var back Snapshot
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatalf("node %d: unmarshal: %v", node, err)
+		}
+		snaps = append(snaps, back)
 	}
+	got, _ := Merge(snaps...).HistogramNamed("lat_ms")
+	want := all.Snapshot()
+	if got.Count != want.Count || got.Sum != want.Sum || got.Min != want.Min || got.Max != want.Max ||
+		got.P50 != want.P50 || got.P95 != want.P95 || got.P99 != want.P99 {
+		t.Fatalf("merged %+v\nwant   %+v", got, want)
+	}
+	checkQuantiles(t, "merged", got, samples)
 }
 
 func TestConcurrentCounters(t *testing.T) {
@@ -179,12 +256,22 @@ func TestMergeAndDelta(t *testing.T) {
 		t.Fatalf("same-key merge = %d, want 5", v)
 	}
 
-	// Histogram merge: counts/sums exact, quantiles conservative max.
-	h1 := Snapshot{Histograms: []HistogramSnap{{Name: "h", Count: 1, Sum: 10, Min: 10, Max: 10, P99: 10}}}
-	h2 := Snapshot{Histograms: []HistogramSnap{{Name: "h", Count: 1, Sum: 30, Min: 30, Max: 30, P99: 30}}}
-	hm := Merge(h1, h2).Histograms[0]
-	if hm.Count != 2 || hm.Sum != 40 || hm.Min != 10 || hm.Max != 30 || hm.P99 != 30 {
+	// Histogram merge: the quantiles are those of the combined samples,
+	// not the larger of each source's.
+	fast, slow := NewRegistry(), NewRegistry()
+	for i := 0; i < 1000; i++ {
+		fast.Histogram("h").Observe(1)
+	}
+	for i := 0; i < 10; i++ {
+		slow.Histogram("h").Observe(100)
+	}
+	hm, _ := Merge(fast.Snapshot(), slow.Snapshot()).HistogramNamed("h")
+	if hm.Count != 1010 || hm.Sum != 2000 || hm.Min != 1 || hm.Max != 100 {
 		t.Fatalf("histogram merge wrong: %+v", hm)
+	}
+	if p999 := hm.Quantile(0.999); math.Abs(hm.P50-1) > RelativeError || math.Abs(hm.P99-1) > RelativeError ||
+		math.Abs(p999-100) > 100*RelativeError {
+		t.Fatalf("merged p50=%v p99=%v p999=%v, want 1, 1 and 100", hm.P50, hm.P99, p999)
 	}
 
 	before := c1
@@ -195,5 +282,52 @@ func TestMergeAndDelta(t *testing.T) {
 	}
 	if v, _ := d.Counter("y"); v != 4 {
 		t.Fatalf("delta y = %d, want 4", v)
+	}
+}
+
+// TestDeltaHistogram: a histogram delta describes only the samples
+// observed between the two snapshots.
+func TestDeltaHistogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	r := NewRegistry()
+	r.Histogram("idle_ms").Observe(5)
+	for i := 0; i < 5000; i++ {
+		r.Histogram("lat_ms").Observe(logUniform(rng, 1e-3, 1e6))
+	}
+	before := r.Snapshot()
+	var phase []float64
+	var sum float64
+	for i := 0; i < 2000; i++ {
+		v := logUniform(rng, 0.5, 50)
+		phase = append(phase, v)
+		sum += v
+		r.Histogram("lat_ms").Observe(v)
+	}
+	d := Delta(before, r.Snapshot())
+	if _, ok := d.HistogramNamed("idle_ms"); ok {
+		t.Fatal("unchanged histogram kept in delta")
+	}
+	h, ok := d.HistogramNamed("lat_ms")
+	if !ok || h.Count != int64(len(phase)) || math.Abs(h.Sum-sum) > 1e-9*sum {
+		t.Fatalf("delta count/sum wrong: %+v (want n=%d sum=%v)", h, len(phase), sum)
+	}
+	for _, m := range []struct{ got, want float64 }{{h.Min, nearestRank(phase, 0)}, {h.Max, nearestRank(phase, 1)}} {
+		if math.Abs(m.got-m.want) > RelativeError*m.want {
+			t.Fatalf("delta min/max %v, want %v", m.got, m.want)
+		}
+	}
+	checkQuantiles(t, "delta", h, phase)
+}
+
+// Snapshot.Counter must not reorder the caller's label slice.
+func TestSnapshotCounterKeepsCallerLabels(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("x_total", "b=1", "a=1").Inc()
+	labels := []string{"b=1", "a=1"}
+	if v, ok := r.Snapshot().Counter("x_total", labels...); !ok || v != 1 {
+		t.Fatalf("lookup: %v %v", v, ok)
+	}
+	if labels[0] != "b=1" || labels[1] != "a=1" {
+		t.Fatalf("caller's labels reordered: %v", labels)
 	}
 }
