@@ -3,13 +3,14 @@
 # parity (hot and tiered) under -race + the fault-injection (chaos) suite
 # + the wire-protocol conformance/loadgen smoke suite + the HTAP
 # concurrent-ingest/merge suite under -race + the observability suite
-# (fingerprints, sys.* views, wire monitoring e2e) + smoke runs of the
+# (fingerprints, sys.* views, wire monitoring e2e) + the end-to-end
+# benchmark module's own vet and tests + smoke runs of the
 # vectorized-scan, compressed-execution and commit-pipeline
 # micro-benchmarks.
 
 GO ?= go
 
-.PHONY: all lint vet build test race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchcommit benchbaseline bench ci
+.PHONY: all lint vet build test race experiments parity chaos wire htap monitor benchself benchsmoke benchcompressed benchcommit benchbaseline bench ci
 
 all: ci
 
@@ -84,6 +85,12 @@ monitor:
 	$(GO) test -race -run 'TestMonitoringViewsOverWire' ./internal/pgwire/
 	$(GO) test -run 'TestE25Shape' ./internal/experiments/
 
+# The end-to-end benchmark (perfbench/) is a nested module that builds
+# against the program's API: vet it and run its tests (~7 s, writes no
+# files), so an API change that breaks the benchmark fails here.
+benchself:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Quick pass over the vectorized scan/aggregation micro-benchmarks, gated
 # by cmd/benchguard against the committed BENCH_vectorized_baseline.json:
 # any ns/op regression beyond 25% fails the target. benchguard also fails
@@ -116,4 +123,4 @@ benchbaseline:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-ci: lint build race experiments parity chaos wire htap monitor benchsmoke benchcompressed benchcommit
+ci: lint build race experiments parity chaos wire htap monitor benchself benchsmoke benchcompressed benchcommit

@@ -12,6 +12,7 @@ package columnstore
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/value"
 )
@@ -104,6 +105,14 @@ func BuildZoneMap(s *Snapshot) *ZoneMap {
 			v := s.Get(c, i)
 			if v.IsNull() {
 				cz.Nulls++
+				continue
+			}
+			if v.K == value.KindFloat && math.IsNaN(v.F) {
+				// NaN satisfies <> against every constant and no other
+				// comparison, and value.Compare would call it equal to
+				// anything: widen the zone so it refutes nothing.
+				cz.Min, cz.Max = value.Float(math.Inf(-1)), value.Float(math.Inf(1))
+				cz.Count++
 				continue
 			}
 			if cz.Count == 0 || value.Compare(v, cz.Min) < 0 {

@@ -7,11 +7,12 @@ import (
 
 // Session is what one wire connection executes against: the sqlexec
 // session surface (auto-commit queries, explicit transactions, positional
-// parameters). Implementations are used by exactly one connection
-// goroutine at a time — the same single-goroutine contract sqlexec.Session
-// documents.
+// parameters, plan-only Describe of a prepared statement's row shape).
+// Implementations are used by exactly one connection goroutine at a time
+// — the same single-goroutine contract sqlexec.Session documents.
 type Session interface {
 	Query(sql string, params ...value.Value) (*sqlexec.Result, error)
+	Describe(sql string) ([]string, error)
 	Begin() error
 	Commit() error
 	Rollback() error

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,16 +14,29 @@ import (
 	"repro/internal/value"
 )
 
-// prepStmt is one named (or unnamed) prepared statement.
+// prepStmt is one parsed statement: a named or unnamed prepared
+// statement, or one statement of a simple query. A nil stmt is the empty
+// statement, or one that did not parse (the engine reports its error).
 type prepStmt struct {
 	sql     string
+	stmt    sqlexec.Statement
 	nparams int
+	rows    bool     // answers with a row set, not just a command tag
+	cols    []string // row shape from the session's Describe (prepared only)
+}
+
+func newPrepStmt(s sqlexec.ScriptStmt) *prepStmt {
+	st := &prepStmt{sql: s.SQL, stmt: s.Stmt, nparams: s.Params}
+	switch s.Stmt.(type) {
+	case *sqlexec.SelectStmt, *sqlexec.ExplainStmt:
+		st.rows = true
+	}
+	return st
 }
 
 // portal is one bound portal: a statement plus parameter values. The
-// statement runs lazily on the first Describe/Execute touching the
-// portal, and the cached result supports Execute row limits with
-// PortalSuspended continuation.
+// statement runs on the first Execute, and the cached result supports
+// Execute row limits with PortalSuspended continuation.
 type portal struct {
 	stmt    *prepStmt
 	params  []value.Value
@@ -253,14 +265,14 @@ func (c *conn) startup() bool {
 
 func (c *conn) simpleQuery(sql string) {
 	t0 := time.Now()
-	stmts := splitStatements(sql)
+	stmts := sqlexec.ParseScript(sql)
 	if len(stmts) == 0 {
 		c.out.start(msgEmptyQuery)
 		c.out.finish()
 		return
 	}
-	for _, stmt := range stmts {
-		if !c.runStatement(stmt) {
+	for _, s := range stmts {
+		if !c.runStatement(newPrepStmt(s)) {
 			break // error already sent; abort the rest of the batch
 		}
 	}
@@ -268,10 +280,11 @@ func (c *conn) simpleQuery(sql string) {
 }
 
 // runStatement executes one simple-protocol statement. Returns false if
-// an ErrorResponse was sent (aborting the rest of the batch).
-func (c *conn) runStatement(sql string) bool {
-	word := firstKeyword(sql)
-	switch c.gateStatement(word) {
+// an ErrorResponse was sent (aborting the rest of the batch). A statement
+// that did not parse still goes to the engine, which reports the error
+// and counts it in its statement statistics.
+func (c *conn) runStatement(st *prepStmt) bool {
+	switch c.gateStatement(st.stmt) {
 	case gateErr:
 		return false
 	case gateHandled:
@@ -281,8 +294,8 @@ func (c *conn) runStatement(sql string) bool {
 		c.queryError(err)
 		return false
 	}
-	c.monStart(sql)
-	res, err := c.sess.Query(sql)
+	c.monStart(st.sql)
+	res, err := c.sess.Query(st.sql)
 	c.monEnd()
 	c.srv.release()
 	if err != nil {
@@ -290,13 +303,12 @@ func (c *conn) runStatement(sql string) bool {
 		return false
 	}
 	c.srv.obs.Counter("pgwire_queries_total", "result=ok").Inc()
-	if isRowStatement(word) {
+	n := 0
+	if st.rows {
 		c.sendRowDescription(res)
-		n := c.sendDataRows(res, 0, 0)
-		c.sendCommandComplete(commandTag(word, res, n))
-	} else {
-		c.sendCommandComplete(commandTag(word, res, 0))
+		n = c.sendDataRows(res, 0, 0)
 	}
+	c.sendCommandComplete(commandTag(st.stmt, res, n))
 	return true
 }
 
@@ -312,7 +324,7 @@ const (
 // gateStatement enforces cancel and failed-transaction state before a
 // statement reaches the engine. COMMIT in a failed transaction rolls back
 // (reported as ROLLBACK), exactly like Postgres.
-func (c *conn) gateStatement(word string) gateResult {
+func (c *conn) gateStatement(st sqlexec.Statement) gateResult {
 	if c.canceled.Swap(false) {
 		c.queryError(wireErr(CodeQueryCanceled, "canceling statement due to user request"))
 		return gateErr
@@ -320,8 +332,7 @@ func (c *conn) gateStatement(word string) gateResult {
 	if !c.txFailed {
 		return gateOK
 	}
-	switch word {
-	case "ROLLBACK", "COMMIT", "END":
+	if x, ok := st.(*sqlexec.TxnStmt); ok && x.Op != "BEGIN" {
 		if err := c.sess.Rollback(); err != nil {
 			c.queryError(err)
 			return gateErr
@@ -330,11 +341,10 @@ func (c *conn) gateStatement(word string) gateResult {
 		c.srv.obs.Counter("pgwire_queries_total", "result=ok").Inc()
 		c.sendCommandComplete("ROLLBACK")
 		return gateHandled
-	default:
-		c.queryError(wireErr(CodeFailedTxn,
-			"current transaction is aborted, commands ignored until end of transaction block"))
-		return gateErr
 	}
+	c.queryError(wireErr(CodeFailedTxn,
+		"current transaction is aborted, commands ignored until end of transaction block"))
+	return gateErr
 }
 
 // queryError sends a coded ErrorResponse and records the failed-txn state.
@@ -382,19 +392,31 @@ func (c *conn) handleParse(m *msgReader) {
 			return
 		}
 	}
-	// Validate eagerly when the backend can: a broken statement must fail
-	// at Parse, not surface later as a surprising Execute error.
-	if d, ok := c.sess.(describer); ok && strings.TrimSpace(sql) != "" {
-		if _, err := d.Describe(sql); err != nil {
+	// Parse and validate eagerly: a broken statement must fail at Parse,
+	// not surface later as a surprising Execute error. Describe plans a
+	// row statement, so its row shape is known from here on.
+	st := &prepStmt{} // the empty statement
+	switch stmts := sqlexec.ParseScript(sql); {
+	case len(stmts) > 1:
+		c.extError(CodeSyntaxError, "cannot insert multiple commands into a prepared statement")
+		return
+	case len(stmts) == 1:
+		if err := stmts[0].Err; err != nil {
 			c.extQueryError(err)
 			return
 		}
+		st = newPrepStmt(stmts[0])
+		cols, err := c.sess.Describe(st.sql)
+		if err != nil {
+			c.extQueryError(err)
+			return
+		}
+		st.cols = cols
 	}
-	np := countParams(sql)
-	if noids > np {
-		np = noids
+	if noids > st.nparams {
+		st.nparams = noids
 	}
-	c.stmts[name] = &prepStmt{sql: strings.TrimSpace(sql), nparams: np}
+	c.stmts[name] = st
 	c.out.start(msgParseComplete)
 	c.out.finish()
 }
@@ -491,67 +513,28 @@ func (c *conn) handleDescribe(m *msgReader) {
 			c.out.int32(oidText)
 		}
 		c.out.finish()
-		c.describeStatementRows(st)
+		c.describeRows(st)
 	case 'P':
 		p, ok := c.portals[name]
 		if !ok {
 			c.extError(CodeInvalidCursor, fmt.Sprintf("portal %q does not exist", name))
 			return
 		}
-		if !isRowStatement(firstKeyword(p.stmt.sql)) {
-			c.out.start(msgNoData)
-			c.out.finish()
-			return
-		}
-		if word := firstKeyword(p.stmt.sql); word == "SELECT" || word == "EXPLAIN" {
-			// Row shape without execution when the session supports
-			// plan-only describe; otherwise run now and cache.
-			if cols, ok := c.describeCols(p.stmt.sql); ok {
-				c.sendRowDescriptionCols(cols, nil)
-				return
-			}
-		}
-		c.run(p)
-		if p.err != nil {
-			c.extQueryError(p.err)
-			return
-		}
-		c.sendRowDescription(p.res)
+		c.describeRows(p.stmt)
 	default:
 		c.extError(CodeProtocolViolation, fmt.Sprintf("Describe kind %q", kind))
 	}
 }
 
-// describer is the optional plan-only describe surface (sqlexec sessions
-// implement it; other backends fall back to execute-and-cache).
-type describer interface {
-	Describe(sql string) ([]string, error)
-}
-
-func (c *conn) describeCols(sql string) ([]string, bool) {
-	d, ok := c.sess.(describer)
-	if !ok {
-		return nil, false
-	}
-	cols, err := d.Describe(sql)
-	if err != nil || cols == nil {
-		return nil, false
-	}
-	return cols, true
-}
-
-func (c *conn) describeStatementRows(st *prepStmt) {
-	if !isRowStatement(firstKeyword(st.sql)) {
+// describeRows answers Describe with the row shape Parse recorded, or
+// NoData for a statement without a row set.
+func (c *conn) describeRows(st *prepStmt) {
+	if !st.rows {
 		c.out.start(msgNoData)
 		c.out.finish()
 		return
 	}
-	if cols, ok := c.describeCols(st.sql); ok {
-		c.sendRowDescriptionCols(cols, nil)
-		return
-	}
-	c.out.start(msgNoData)
-	c.out.finish()
+	c.sendRowDescriptionCols(st.cols, nil)
 }
 
 func (c *conn) handleExecute(m *msgReader) {
@@ -566,8 +549,12 @@ func (c *conn) handleExecute(m *msgReader) {
 		c.extError(CodeInvalidCursor, fmt.Sprintf("portal %q does not exist", name))
 		return
 	}
-	word := firstKeyword(p.stmt.sql)
-	switch c.gateStatement(word) {
+	if p.stmt.stmt == nil {
+		c.out.start(msgEmptyQuery)
+		c.out.finish()
+		return
+	}
+	switch c.gateStatement(p.stmt.stmt) {
 	case gateErr:
 		c.skipSync = true
 		return
@@ -583,18 +570,15 @@ func (c *conn) handleExecute(m *msgReader) {
 		p.counted = true
 		c.srv.obs.Counter("pgwire_queries_total", "result=ok").Inc()
 	}
-	if isRowStatement(word) {
-		sent := c.sendDataRows(p.res, p.pos, maxRows)
-		p.pos += sent
+	if p.stmt.rows {
+		p.pos += c.sendDataRows(p.res, p.pos, maxRows)
 		if maxRows > 0 && p.pos < len(p.res.Rows) {
 			c.out.start(msgPortalSuspended)
 			c.out.finish()
 			return
 		}
-		c.sendCommandComplete(commandTag(word, p.res, p.pos))
-	} else {
-		c.sendCommandComplete(commandTag(word, p.res, 0))
 	}
+	c.sendCommandComplete(commandTag(p.stmt.stmt, p.res, p.pos))
 }
 
 func (c *conn) handleClose(m *msgReader) {
@@ -790,93 +774,19 @@ func (c *conn) forceClose() {
 
 // --- statement helpers -----------------------------------------------------
 
-// splitStatements splits a simple-query string on top-level semicolons
-// (outside quotes and comments), dropping empty statements.
-func splitStatements(sql string) []string {
-	var out []string
-	start := 0
-	for i := 0; i < len(sql); i++ {
-		switch sql[i] {
-		case '\'':
-			for i++; i < len(sql); i++ {
-				if sql[i] == '\'' {
-					if i+1 < len(sql) && sql[i+1] == '\'' {
-						i++
-						continue
-					}
-					break
-				}
-			}
-		case '"':
-			for i++; i < len(sql) && sql[i] != '"'; i++ {
-			}
-		case '-':
-			if i+1 < len(sql) && sql[i+1] == '-' {
-				for ; i < len(sql) && sql[i] != '\n'; i++ {
-				}
-			}
-		case ';':
-			if s := strings.TrimSpace(sql[start:i]); s != "" {
-				out = append(out, s)
-			}
-			start = i + 1
-		}
-	}
-	if s := strings.TrimSpace(sql[start:]); s != "" {
-		out = append(out, s)
-	}
-	return out
-}
-
-// firstKeyword returns the statement's leading keyword, upper-cased.
-func firstKeyword(sql string) string {
-	sql = strings.TrimSpace(sql)
-	end := len(sql)
-	for i := 0; i < len(sql); i++ {
-		c := sql[i]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c == '_') {
-			end = i
-			break
-		}
-	}
-	return strings.ToUpper(sql[:end])
-}
-
-// isRowStatement reports whether a statement produces a row set on the
-// wire (RowDescription + DataRows) rather than just a command tag.
-func isRowStatement(word string) bool {
-	switch word {
-	case "SELECT", "EXPLAIN", "VALUES", "SHOW", "WITH":
-		return true
-	default:
-		return false
-	}
-}
-
 // commandTag builds the CommandComplete tag. DML statements report the
-// count the engine returned as their single result cell.
-func commandTag(word string, res *sqlexec.Result, rows int) string {
-	switch word {
-	case "SELECT", "EXPLAIN", "VALUES", "SHOW", "WITH":
+// count the engine returned as their single result cell; row statements
+// report the rows sent.
+func commandTag(st sqlexec.Statement, res *sqlexec.Result, rows int) string {
+	switch cmd := st.Command(); cmd {
+	case "SELECT", "EXPLAIN":
 		return "SELECT " + strconv.Itoa(rows)
 	case "INSERT":
 		return "INSERT 0 " + strconv.FormatInt(resultCount(res), 10)
-	case "UPDATE":
-		return "UPDATE " + strconv.FormatInt(resultCount(res), 10)
-	case "DELETE":
-		return "DELETE " + strconv.FormatInt(resultCount(res), 10)
-	case "BEGIN":
-		return "BEGIN"
-	case "COMMIT", "END":
-		return "COMMIT"
-	case "ROLLBACK":
-		return "ROLLBACK"
-	case "CREATE", "DROP", "MERGE":
-		return word
-	case "":
-		return "OK"
+	case "UPDATE", "DELETE":
+		return cmd + " " + strconv.FormatInt(resultCount(res), 10)
 	default:
-		return word
+		return cmd
 	}
 }
 
@@ -890,14 +800,18 @@ func resultCount(res *sqlexec.Result) int64 {
 }
 
 // inferParam converts a text-format parameter to an engine value:
-// integers and floats by shape, everything else as a string (the engine
-// coerces at comparison and insert boundaries).
+// decimal numerals to integers and floats, everything else as a string
+// (the engine coerces at comparison and insert boundaries). Only a
+// decimal numeral is a number: "nan", "inf", "Infinity" and hex floats
+// stay strings, as they would quoted in the statement.
 func inferParam(s string) value.Value {
 	if n, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return value.Int(n)
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return value.Float(f)
+	if decimalChars(s) {
+		if f, err := strconv.ParseFloat(s, 64); err == nil {
+			return value.Float(f)
+		}
 	}
 	switch s {
 	case "t", "true", "TRUE":
@@ -906,4 +820,18 @@ func inferParam(s string) value.Value {
 		return value.Bool(false)
 	}
 	return value.String(s)
+}
+
+// decimalChars reports whether s is made only of the characters of a
+// decimal numeral (digits, sign, point, exponent); ParseFloat checks the
+// shape.
+func decimalChars(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= '0' && c <= '9', c == '.', c == '+', c == '-', c == 'e', c == 'E':
+		default:
+			return false
+		}
+	}
+	return true
 }

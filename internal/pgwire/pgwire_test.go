@@ -225,6 +225,7 @@ func TestWireSQLSTATECodes(t *testing.T) {
 		code string
 	}{
 		{`SELECT FROM WHERE`, CodeSyntaxError},
+		{`SELECT "unterminated`, CodeSyntaxError},
 		{`SELECT * FROM nope`, CodeUndefinedTable},
 		{`SELECT zzz FROM t`, CodeUndefinedColumn},
 		{`SELECT nofunc(a) FROM t`, CodeUndefinedFunction},

@@ -9,8 +9,11 @@ package sqlexec
 
 import "repro/internal/value"
 
-// Statement is any parsed SQL statement.
-type Statement interface{ stmt() }
+// Statement is any parsed SQL statement. Command is its command word
+// (SELECT, INSERT, UPDATE, DELETE, CREATE, DROP, MERGE, EXPLAIN, BEGIN,
+// COMMIT or ROLLBACK): it labels the statement's trace span and heads
+// its wire command tag.
+type Statement interface{ Command() string }
 
 // SelectStmt is a SELECT query.
 type SelectStmt struct {
@@ -96,10 +99,12 @@ type ColDefAST struct {
 	Type string
 }
 
-// CreateViewStmt is CREATE VIEW name AS select.
+// CreateViewStmt is CREATE VIEW name AS select. SQL is the SELECT's
+// source text, which the catalog stores as the view definition.
 type CreateViewStmt struct {
 	Name   string
 	Select *SelectStmt
+	SQL    string
 }
 
 // DropTableStmt is DROP TABLE [IF EXISTS] name.
@@ -111,14 +116,26 @@ type DropTableStmt struct {
 // MergeDeltaStmt is the HANA-style "MERGE DELTA OF t" maintenance command.
 type MergeDeltaStmt struct{ Table string }
 
-func (*SelectStmt) stmt()      {}
-func (*InsertStmt) stmt()      {}
-func (*UpdateStmt) stmt()      {}
-func (*DeleteStmt) stmt()      {}
-func (*CreateTableStmt) stmt() {}
-func (*CreateViewStmt) stmt()  {}
-func (*DropTableStmt) stmt()   {}
-func (*MergeDeltaStmt) stmt()  {}
+// TxnStmt is a transaction-control statement: Op is BEGIN, COMMIT (also
+// spelled END) or ROLLBACK.
+type TxnStmt struct{ Op string }
+
+// ExplainStmt is EXPLAIN [ANALYZE] select.
+type ExplainStmt struct {
+	Analyze bool
+	Select  *SelectStmt
+}
+
+func (*SelectStmt) Command() string      { return "SELECT" }
+func (*InsertStmt) Command() string      { return "INSERT" }
+func (*UpdateStmt) Command() string      { return "UPDATE" }
+func (*DeleteStmt) Command() string      { return "DELETE" }
+func (*CreateTableStmt) Command() string { return "CREATE" }
+func (*CreateViewStmt) Command() string  { return "CREATE" }
+func (*DropTableStmt) Command() string   { return "DROP" }
+func (*MergeDeltaStmt) Command() string  { return "MERGE" }
+func (x *TxnStmt) Command() string       { return x.Op }
+func (*ExplainStmt) Command() string     { return "EXPLAIN" }
 
 // Expr is any expression node.
 type Expr interface{ expr() }

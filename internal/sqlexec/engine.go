@@ -97,6 +97,12 @@ func (e *Engine) MustQuery(sql string, params ...value.Value) *Result {
 	return r
 }
 
+// planner plans at snapshot ts over the engine's catalogs, binding
+// params (nil when planning without values: Describe, EXPLAIN).
+func (e *Engine) planner(ts uint64, params []value.Value) *Planner {
+	return &Planner{Cat: e.Cat, Reg: e.Reg, Sys: e.Sys, TS: ts, Prune: e.Prune, Params: params}
+}
+
 // ExplainSQL returns the optimized plan of a SELECT as text.
 func (e *Engine) ExplainSQL(sql string) (string, error) {
 	st, err := Parse(sql)
@@ -107,8 +113,11 @@ func (e *Engine) ExplainSQL(sql string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("sql: EXPLAIN supports only SELECT")
 	}
-	pl := &Planner{Cat: e.Cat, Reg: e.Reg, Sys: e.Sys, TS: e.Mgr.Now(), Prune: e.Prune}
-	plan, err := pl.BuildSelect(sel)
+	return e.explain(sel, e.Mgr.Now())
+}
+
+func (e *Engine) explain(sel *SelectStmt, ts uint64) (string, error) {
+	plan, err := e.planner(ts, nil).BuildSelect(sel)
 	if err != nil {
 		return "", err
 	}
@@ -119,7 +128,8 @@ func (e *Engine) ExplainSQL(sql string) (string, error) {
 // returns both the result and the annotated plan (EXPLAIN ANALYZE). The
 // statement actually runs — the timings are measured, not estimated.
 func (e *Engine) AnalyzeSQL(sql string, params ...value.Value) (*Result, *Profile, error) {
-	st, err := Parse(sql)
+	toks, lexErr := lex(sql)
+	st, _, err := parseLexed(sql, toks, lexErr)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -127,9 +137,13 @@ func (e *Engine) AnalyzeSQL(sql string, params ...value.Value) (*Result, *Profil
 	if !ok {
 		return nil, nil, fmt.Errorf("sql: EXPLAIN ANALYZE supports only SELECT")
 	}
-	ts := e.Mgr.Now()
-	pl := &Planner{Cat: e.Cat, Reg: e.Reg, Sys: e.Sys, TS: ts, Prune: e.Prune, Params: params}
-	plan, err := pl.BuildSelect(sel)
+	return e.analyze(sel, sql, fingerprintID(normalize(sql, toks, nil)), e.Mgr.Now(), params)
+}
+
+// analyze runs sel profiled at snapshot ts; a slow run lands in the slow
+// log under the statement's text and fingerprint.
+func (e *Engine) analyze(sel *SelectStmt, sql, fp string, ts uint64, params []value.Value) (*Result, *Profile, error) {
+	plan, err := e.planner(ts, params).BuildSelect(sel)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -138,7 +152,7 @@ func (e *Engine) AnalyzeSQL(sql string, params ...value.Value) (*Result, *Profil
 		return nil, nil, err
 	}
 	prof.SQL = sql
-	e.maybeRecordSlow(sql, prof)
+	e.maybeRecordSlow(sql, fp, prof)
 	return res, prof, nil
 }
 
@@ -158,7 +172,8 @@ type Session struct {
 	tx       *txn.Txn
 	explicit bool
 	cur      *stats.Span // statement span while Query is executing
-	curSQL   string      // statement text, for the slow-query log
+	curSQL   string      // statement text and fingerprint, for the slow-query log
+	curFP    string
 	// info mirrors the session state for sys.m_sessions: monitoring
 	// queries read it from other goroutines, so unlike the fields above
 	// it is mutex-guarded. The owning goroutine updates it at statement
@@ -286,55 +301,63 @@ func (s *Session) Rollback() error {
 // InTxn reports whether an explicit transaction is open.
 func (s *Session) InTxn() bool { return s.explicit }
 
-// Describe returns the output column names of a SELECT without executing
-// it — the plan is built, not run. Non-SELECT statements (including the
-// BEGIN/COMMIT/ROLLBACK control statements) return (nil, nil): they
-// produce no row set. The wire front end uses this for the extended
-// protocol's Describe message.
+// Describe returns the output column names of a statement without
+// executing it — a SELECT is planned, not run; EXPLAIN [ANALYZE] plans
+// its SELECT and answers the one "plan" column. Statements that produce
+// no row set (DML, DDL, BEGIN/COMMIT/ROLLBACK) return (nil, nil). The
+// wire front end uses this to validate a prepared statement and for the
+// extended protocol's Describe message.
 func (s *Session) Describe(sql string) ([]string, error) {
-	trimmed := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
-	switch strings.ToUpper(trimmed) {
-	case "BEGIN", "COMMIT", "ROLLBACK":
-		return nil, nil
+	st, err := Parse(sql)
+	if err != nil {
+		return nil, err
 	}
-	if up := strings.ToUpper(trimmed); strings.HasPrefix(up, "EXPLAIN") {
+	switch x := st.(type) {
+	case *SelectStmt:
+		plan, err := s.e.planner(s.snapshotTS(), nil).BuildSelect(x)
+		if err != nil {
+			return nil, err
+		}
+		cols := plan.columns()
+		names := make([]string, len(cols))
+		for i, c := range cols {
+			names[i] = c.Name
+		}
+		return names, nil
+	case *ExplainStmt:
+		if _, err := s.e.planner(s.snapshotTS(), nil).BuildSelect(x.Select); err != nil {
+			return nil, err
+		}
 		return []string{"plan"}, nil
 	}
-	st, err := Parse(trimmed)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*SelectStmt)
-	if !ok {
-		return nil, nil
-	}
-	pl := &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: s.snapshotTS(), Prune: s.e.Prune}
-	plan, err := pl.BuildSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	cols := plan.columns()
-	names := make([]string, len(cols))
-	for i, c := range cols {
-		names[i] = c.Name
-	}
-	return names, nil
+	return nil, nil
 }
 
-// Query executes one SQL statement. It wraps the dispatcher with the
-// workload bookkeeping every statement gets: the session is marked
-// active for sys.m_sessions, and the outcome lands in the fingerprinted
-// statement statistics behind sys.m_statements.
+// Query executes one SQL statement. The statement is lexed once: the
+// parser and the fingerprint normalizer read the same token stream. The
+// dispatcher is wrapped with the workload bookkeeping every statement
+// gets: the session is marked active for sys.m_sessions, and the outcome
+// lands in the fingerprinted statement statistics behind sys.m_statements.
 func (s *Session) Query(sql string, params ...value.Value) (*Result, error) {
 	s.setActive(sql)
 	t0 := time.Now()
-	res, err := s.run(sql, params...)
+	toks, lexErr := lex(sql)
+	st, need, err := parseLexed(sql, toks, lexErr)
+	s.e.Obs.Histogram("sql_parse_ms").ObserveSince(t0)
+	norm := normalize(sql, toks, lexErr)
+	id := fingerprintID(norm)
+	var res *Result
+	if err == nil && need > len(params) {
+		err = fmt.Errorf("sql: statement requires parameter $%d, got %d", need, len(params))
+	}
+	if err == nil {
+		res, err = s.run(st, sql, id, params)
+	}
 	d := time.Since(t0)
 	var rows int64
 	if res != nil {
 		rows = int64(len(res.Rows))
 	}
-	id, norm := Fingerprint(sql)
 	s.e.stmts.record(id, norm, d, rows, err != nil)
 	s.setIdle()
 	return res, err
@@ -359,47 +382,36 @@ func (s *Session) setIdle() {
 	s.info.mu.Unlock()
 }
 
-// run dispatches one SQL statement. Control statements (BEGIN/COMMIT/
-// ROLLBACK/EXPLAIN) are handled here; everything else goes through the
-// parser.
-func (s *Session) run(sql string, params ...value.Value) (*Result, error) {
-	trimmed := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
-	switch strings.ToUpper(trimmed) {
-	case "BEGIN":
-		return &Result{}, s.Begin()
-	case "COMMIT":
-		return &Result{}, s.Commit()
-	case "ROLLBACK":
-		return &Result{}, s.Rollback()
-	}
-	if up := strings.ToUpper(trimmed); strings.HasPrefix(up, "EXPLAIN ANALYZE ") {
-		_, prof, err := s.e.AnalyzeSQL(trimmed[len("EXPLAIN ANALYZE "):], params...)
-		if err != nil {
-			return nil, err
+// run executes one parsed statement; fp is its fingerprint ID.
+func (s *Session) run(st Statement, sql, fp string, params []value.Value) (*Result, error) {
+	switch x := st.(type) {
+	case *TxnStmt:
+		switch x.Op {
+		case "BEGIN":
+			return &Result{}, s.Begin()
+		case "COMMIT":
+			return &Result{}, s.Commit()
 		}
-		return textResult(prof.Render()), nil
-	} else if strings.HasPrefix(up, "EXPLAIN ") {
-		text, err := s.e.ExplainSQL(trimmed[len("EXPLAIN "):])
+		return &Result{}, s.Rollback()
+	case *ExplainStmt:
+		if x.Analyze {
+			_, prof, err := s.e.analyze(x.Select, sql, fp, s.snapshotTS(), params)
+			if err != nil {
+				return nil, err
+			}
+			return textResult(prof.Render()), nil
+		}
+		text, err := s.e.explain(x.Select, s.snapshotTS())
 		if err != nil {
 			return nil, err
 		}
 		return textResult(text), nil
 	}
 
-	span := s.e.Tracer.Start("sql", "stmt="+firstWord(trimmed))
+	span := s.e.Tracer.Start("sql", "stmt="+st.Command())
 	defer span.Finish()
-	tParse := time.Now()
-	st, need, err := ParseWithParams(sql)
-	s.e.Obs.Histogram("sql_parse_ms").ObserveSince(tParse)
-	if err != nil {
-		return nil, err
-	}
-	if need > len(params) {
-		return nil, fmt.Errorf("sql: statement requires parameter $%d, got %d", need, len(params))
-	}
-	s.cur = span
-	s.curSQL = trimmed
-	defer func() { s.cur = nil; s.curSQL = "" }()
+	s.cur, s.curSQL, s.curFP = span, sql, fp
+	defer func() { s.cur, s.curSQL, s.curFP = nil, "", "" }()
 	switch x := st.(type) {
 	case *SelectStmt:
 		return s.execSelect(x, params)
@@ -412,7 +424,7 @@ func (s *Session) run(sql string, params ...value.Value) (*Result, error) {
 	case *CreateTableStmt:
 		return s.execCreateTable(x)
 	case *CreateViewStmt:
-		return &Result{}, s.e.Cat.CreateView(x.Name, selectSQL(sql))
+		return &Result{}, s.e.Cat.CreateView(x.Name, x.SQL)
 	case *DropTableStmt:
 		if !s.e.Cat.DropTable(x.Name) && !x.IfExists {
 			return nil, fmt.Errorf("sql: no table %q", x.Name)
@@ -446,24 +458,6 @@ func textResult(text string) *Result {
 	return res
 }
 
-// firstWord labels a statement span by its leading keyword.
-func firstWord(sql string) string {
-	if i := strings.IndexAny(sql, " \t\n"); i > 0 {
-		return strings.ToUpper(sql[:i])
-	}
-	return strings.ToUpper(sql)
-}
-
-// selectSQL extracts the SELECT text of a CREATE VIEW statement.
-func selectSQL(sql string) string {
-	up := strings.ToUpper(sql)
-	i := strings.Index(up, " AS ")
-	if i < 0 {
-		return sql
-	}
-	return strings.TrimSpace(sql[i+4:])
-}
-
 func (s *Session) snapshotTS() uint64 {
 	if s.tx != nil {
 		return s.tx.SnapshotTS()
@@ -475,8 +469,7 @@ func (s *Session) execSelect(sel *SelectStmt, params []value.Value) (*Result, er
 	ts := s.snapshotTS()
 	tPlan := time.Now()
 	psp := s.cur.Child("plan")
-	pl := &Planner{Cat: s.e.Cat, Reg: s.e.Reg, Sys: s.e.Sys, TS: ts, Prune: s.e.Prune, Params: params}
-	plan, err := pl.BuildSelect(sel)
+	plan, err := s.e.planner(ts, params).BuildSelect(sel)
 	psp.Finish()
 	s.e.Obs.Histogram("sql_plan_ms").ObserveSince(tPlan)
 	if err != nil {
@@ -490,7 +483,7 @@ func (s *Session) execSelect(sel *SelectStmt, params []value.Value) (*Result, er
 		// operator breakdown, not re-run after the fact.
 		var prof *Profile
 		res, prof, err = RunAnalyzed(plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers)
-		s.e.maybeRecordSlow(s.curSQL, prof)
+		s.e.maybeRecordSlow(s.curSQL, s.curFP, prof)
 	} else {
 		res, err = RunWorkers(plan, ts, params, s.e.Reg, s.e.Mode, s.e.Workers)
 	}

@@ -230,7 +230,7 @@ func compileExpr(e Expr, resolve colResolver, reg *Registry) (evalFn, error) {
 				return value.Null
 			}
 			for _, f := range list {
-				if value.Equal(v, f(env)) {
+				if w := f(env); !value.Unordered(v, w) && value.Equal(v, w) {
 					return value.Bool(!not)
 				}
 			}
@@ -256,7 +256,9 @@ func compileExpr(e Expr, resolve colResolver, reg *Registry) (evalFn, error) {
 			if v.IsNull() {
 				return value.Null
 			}
-			in := value.Compare(v, lo(env)) >= 0 && value.Compare(v, hi(env)) <= 0
+			l, h := lo(env), hi(env)
+			in := !value.Unordered(v, l) && !value.Unordered(v, h) &&
+				value.Compare(v, l) >= 0 && value.Compare(v, h) <= 0
 			return value.Bool(in != not)
 		}, nil
 
@@ -273,11 +275,17 @@ func compileExpr(e Expr, resolve colResolver, reg *Registry) (evalFn, error) {
 	return nil, fmt.Errorf("sql: cannot compile %T", e)
 }
 
+// cmpFn compiles a comparison; test interprets value.Compare's result.
+// An unordered pair (a NaN) satisfies only the operator that holds both
+// below and above: <>.
 func cmpFn(l, r evalFn, test func(int) bool) evalFn {
 	return func(env *Env) value.Value {
 		a, b := l(env), r(env)
 		if a.IsNull() || b.IsNull() {
 			return value.Null
+		}
+		if value.Unordered(a, b) {
+			return value.Bool(test(-1) && test(1))
 		}
 		return value.Bool(test(value.Compare(a, b)))
 	}

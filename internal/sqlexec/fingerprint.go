@@ -19,21 +19,35 @@ import (
 // of the normalized text) and the normalized text itself.
 func Fingerprint(sql string) (id, norm string) {
 	norm = NormalizeSQL(sql)
+	return fingerprintID(norm), norm
+}
+
+func fingerprintID(norm string) string {
 	h := fnv.New64a()
 	h.Write([]byte(norm))
-	return fmt.Sprintf("%016x", h.Sum64()), norm
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // NormalizeSQL canonicalizes a statement for fingerprinting: keywords
 // uppercase, identifiers lowercase, every literal and parameter replaced
-// by `?`, IN-lists of literals collapsed to `(...)`, and spacing reduced
-// to a single canonical form. Statements the lexer rejects fall back to
-// whitespace collapsing, so every string — even unparseable garbage —
-// gets a deterministic fingerprint.
+// by `?`, IN-lists of literals collapsed to `(...)`, a trailing `;`
+// dropped, and spacing reduced to a single canonical form. Statements the
+// lexer rejects fall back to whitespace collapsing, so every string —
+// even unparseable garbage — gets a deterministic fingerprint.
 func NormalizeSQL(sql string) string {
-	toks, err := lex(strings.TrimSuffix(strings.TrimSpace(sql), ";"))
-	if err != nil {
+	toks, err := lex(sql)
+	return normalize(sql, toks, err)
+}
+
+// normalize is NormalizeSQL over an already lexed statement, so a
+// statement that is executed is lexed once for its parse and its
+// fingerprint.
+func normalize(sql string, toks []token, lexErr error) string {
+	if lexErr != nil {
 		return strings.Join(strings.Fields(sql), " ")
+	}
+	if n := len(toks); n >= 2 && toks[n-2].kind == tkOp && toks[n-2].text == ";" {
+		toks = toks[:n-2] // the trailing `;` and EOF
 	}
 	var parts []string
 	for i := 0; i < len(toks); i++ {

@@ -85,3 +85,32 @@ func TestFingerprintFallback(t *testing.T) {
 		t.Fatalf("fallback norm lost the text: %q", norm1)
 	}
 }
+
+// TestFingerprintRecordedMatchesFingerprint: Session.Query fingerprints
+// the token stream it parses; for every parity-catalog query (and its $N
+// twin) the shape sys.m_statements records is Fingerprint's. So are a
+// trailing `;` before a comment and text the lexer rejects.
+func TestFingerprintRecordedMatchesFingerprint(t *testing.T) {
+	e := parityEngine(t)
+	var sqls []string
+	for _, q := range parityQueries {
+		for _, v := range withParamTwin(t, q.sql, q.params) {
+			mustExec(t, e, v.sql, v.params...)
+			sqls = append(sqls, v.sql)
+		}
+	}
+	for _, sql := range []string{"SELECT 1; -- done", "SELECT 'unterminated"} {
+		e.Query(sql)
+		sqls = append(sqls, sql)
+	}
+	recorded := map[string]string{}
+	for _, row := range mustExec(t, e, `SELECT fingerprint_id, query FROM sys.m_statements`).Rows {
+		recorded[row[0].S] = row[1].S
+	}
+	for _, sql := range sqls {
+		id, norm := Fingerprint(sql)
+		if got, ok := recorded[id]; !ok || got != norm {
+			t.Errorf("%q: Fingerprint %s %q, sys.m_statements has %q (present %v)", sql, id, norm, got, ok)
+		}
+	}
+}

@@ -21,7 +21,8 @@ const (
 type token struct {
 	kind tokenKind
 	text string // keywords upper-cased, idents original case-folded to lower
-	pos  int
+	pos  int    // source span [pos, end)
+	end  int
 }
 
 var keywords = map[string]bool{
@@ -56,7 +57,9 @@ func lex(src string) ([]token, error) {
 				l.pos++
 			}
 		case isIdentStart(rune(c)):
-			l.lexWord()
+			if err := l.lexWord(); err != nil {
+				return nil, err
+			}
 		case c >= '0' && c <= '9':
 			l.lexNumber()
 		case c == '\'':
@@ -64,8 +67,8 @@ func lex(src string) ([]token, error) {
 				return nil, err
 			}
 		case c == '?':
-			l.emit(tkParam, "?")
 			l.pos++
+			l.emit(tkParam, "?", l.pos-1)
 		case c == '$':
 			// $N positional parameter (PostgreSQL style); 1-based.
 			start := l.pos
@@ -76,14 +79,14 @@ func lex(src string) ([]token, error) {
 			if l.pos == start+1 {
 				return nil, fmt.Errorf("sql: bare $ at %d", start)
 			}
-			l.toks = append(l.toks, token{kind: tkParam, text: l.src[start:l.pos], pos: start})
+			l.emit(tkParam, l.src[start:l.pos], start)
 		default:
 			if err := l.lexOp(); err != nil {
 				return nil, err
 			}
 		}
 	}
-	l.emit(tkEOF, "")
+	l.emit(tkEOF, "", l.pos)
 	return l.toks, nil
 }
 
@@ -91,21 +94,25 @@ func isIdentStart(c rune) bool {
 	return unicode.IsLetter(c) || c == '_' || c == '"'
 }
 
-func (l *lexer) emit(k tokenKind, s string) {
-	l.toks = append(l.toks, token{kind: k, text: s, pos: l.pos})
+// emit appends a token spanning src[start:l.pos].
+func (l *lexer) emit(k tokenKind, s string, start int) {
+	l.toks = append(l.toks, token{kind: k, text: s, pos: start, end: l.pos})
 }
 
-func (l *lexer) lexWord() {
+func (l *lexer) lexWord() error {
 	start := l.pos
 	if l.src[l.pos] == '"' { // quoted identifier
 		l.pos++
 		for l.pos < len(l.src) && l.src[l.pos] != '"' {
 			l.pos++
 		}
+		if l.pos == len(l.src) {
+			return fmt.Errorf("sql: unterminated quoted identifier at %d", start)
+		}
 		word := l.src[start+1 : l.pos]
 		l.pos++ // closing quote
-		l.emit(tkIdent, strings.ToLower(word))
-		return
+		l.emit(tkIdent, strings.ToLower(word), start)
+		return nil
 	}
 	for l.pos < len(l.src) && (isIdentStart(rune(l.src[l.pos])) || l.src[l.pos] >= '0' && l.src[l.pos] <= '9') {
 		l.pos++
@@ -113,10 +120,11 @@ func (l *lexer) lexWord() {
 	word := l.src[start:l.pos]
 	upper := strings.ToUpper(word)
 	if keywords[upper] {
-		l.emit(tkKeyword, upper)
+		l.emit(tkKeyword, upper, start)
 	} else {
-		l.emit(tkIdent, strings.ToLower(word))
+		l.emit(tkIdent, strings.ToLower(word), start)
 	}
+	return nil
 }
 
 func (l *lexer) lexNumber() {
@@ -141,10 +149,11 @@ func (l *lexer) lexNumber() {
 		}
 		l.pos++
 	}
-	l.emit(tkNumber, l.src[start:l.pos])
+	l.emit(tkNumber, l.src[start:l.pos], start)
 }
 
 func (l *lexer) lexString() error {
+	start := l.pos
 	l.pos++ // opening quote
 	var sb strings.Builder
 	for l.pos < len(l.src) {
@@ -156,7 +165,7 @@ func (l *lexer) lexString() error {
 				continue
 			}
 			l.pos++
-			l.emit(tkString, sb.String())
+			l.emit(tkString, sb.String(), start)
 			return nil
 		}
 		sb.WriteByte(c)
@@ -171,16 +180,16 @@ func (l *lexer) lexOp() error {
 	if l.pos+1 < len(l.src) {
 		two := l.src[l.pos : l.pos+2]
 		if twoCharOps[two] {
-			l.emit(tkOp, two)
 			l.pos += 2
+			l.emit(tkOp, two, l.pos-2)
 			return nil
 		}
 	}
 	c := l.src[l.pos]
 	switch c {
 	case '(', ')', ',', '.', '*', '+', '-', '/', '%', '=', '<', '>', ';':
-		l.emit(tkOp, string(c))
 		l.pos++
+		l.emit(tkOp, string(c), l.pos-1)
 		return nil
 	}
 	return fmt.Errorf("sql: unexpected character %q at %d", c, l.pos)

@@ -166,6 +166,15 @@ func parityEngine(t testing.TB) *Engine {
 	mustExec(t, e, `DELETE FROM events WHERE grp = 2 AND qty < 5300`)
 	mustExec(t, e, `DELETE FROM events WHERE qty = 8999`)
 
+	// NaN, stored from the text 'nan', on both sides of a merge: a
+	// comparison with it is false except <>, on the float kernels over
+	// main storage and on the row path over the delta alike. s holds
+	// numbers and 'nan' as text, compared against numeric constants.
+	mustExec(t, e, `CREATE TABLE nans (id INT, x DOUBLE, s VARCHAR)`)
+	mustExec(t, e, `INSERT INTO nans VALUES (1, 'nan', 'nan'), (2, 1, '7'), (3, 2.5, 'nan'), (4, NULL, NULL), (5, 'nan', '1')`)
+	mustExec(t, e, `MERGE DELTA OF nans`)
+	mustExec(t, e, `INSERT INTO nans VALUES (6, 'nan', '7'), (7, 1, 'nan'), (8, -3, '2.5')`)
+
 	e.Reg.RegisterTable("NUMS", columnstore.Schema{{Name: "n", Kind: value.KindInt}},
 		func(args []value.Value) ([]value.Row, error) {
 			var out []value.Row
@@ -266,6 +275,18 @@ var parityQueries = []struct {
 	{sql: `SELECT COUNT(*) FROM events e LEFT JOIN dims d ON e.region = d.region WHERE e.grp = 1`},
 	{sql: `SELECT COUNT(*) FROM events e JOIN dims_delta d ON e.region = d.region`},
 	{sql: `SELECT COUNT(*) FROM raw_events r JOIN dims d ON r.region = d.region`},
+	// NaN: every comparison but <> is false (merged main and hot delta).
+	{sql: `SELECT id FROM nans WHERE x = 1 ORDER BY id`},
+	{sql: `SELECT id FROM nans WHERE x <> 1 ORDER BY id`},
+	{sql: `SELECT id FROM nans WHERE x < 2 ORDER BY id`},
+	{sql: `SELECT id FROM nans WHERE x <= 2.5 ORDER BY id`},
+	{sql: `SELECT id FROM nans WHERE x > -5 ORDER BY id`},
+	{sql: `SELECT id FROM nans WHERE x >= 1 ORDER BY id`},
+	{sql: `SELECT id FROM nans WHERE x IN (1, 2.5) ORDER BY id`},
+	{sql: `SELECT id FROM nans WHERE x BETWEEN -5 AND 5 ORDER BY id`},
+	{sql: `SELECT id FROM nans WHERE s = 7 ORDER BY id`},
+	{sql: `SELECT id FROM nans WHERE s <> 7 ORDER BY id`},
+	{sql: `SELECT COUNT(*), COUNT(x) FROM nans WHERE x <> 2.5`},
 }
 
 // paritySQL is one statement of a parity run with its parameter values.

@@ -19,8 +19,14 @@ func Parse(src string) (Statement, error) {
 // or the highest `$N` reference, whichever the statement uses.
 func ParseWithParams(src string) (Statement, int, error) {
 	toks, err := lex(src)
-	if err != nil {
-		return nil, 0, err
+	return parseLexed(src, toks, err)
+}
+
+// parseLexed parses one statement from a non-empty run of src's tokens
+// (a trailing `;` is accepted), or returns the lex error.
+func parseLexed(src string, toks []token, lexErr error) (Statement, int, error) {
+	if lexErr != nil {
+		return nil, 0, lexErr
 	}
 	p := &parser{toks: toks, src: src}
 	st, err := p.parseStatement()
@@ -34,6 +40,38 @@ func ParseWithParams(src string) (Statement, int, error) {
 	return st, p.params, nil
 }
 
+// ScriptStmt is one statement of a query string that may hold several.
+type ScriptStmt struct {
+	SQL    string    // source text from its first to its last token
+	Stmt   Statement // nil when Err is set
+	Params int       // parameter bindings required, as ParseWithParams
+	Err    error
+}
+
+// ParseScript splits src into statements at its top-level `;` tokens and
+// parses each one. Empty statements are dropped, so a string of blanks,
+// comments and semicolons yields none. A string the lexer rejects is one
+// statement carrying the lex error.
+func ParseScript(src string) []ScriptStmt {
+	toks, err := lex(src)
+	if err != nil {
+		return []ScriptStmt{{SQL: strings.TrimSpace(src), Err: err}}
+	}
+	var out []ScriptStmt
+	start := 0
+	for i, t := range toks {
+		if t.kind != tkEOF && !(t.kind == tkOp && t.text == ";") {
+			continue
+		}
+		if i > start {
+			st, n, err := parseLexed(src, toks[start:i], nil)
+			out = append(out, ScriptStmt{SQL: src[toks[start].pos:toks[i-1].end], Stmt: st, Params: n, Err: err})
+		}
+		start = i + 1
+	}
+	return out
+}
+
 type parser struct {
 	toks   []token
 	i      int
@@ -41,11 +79,14 @@ type parser struct {
 	params int
 }
 
+// cur returns the current token; past the end of the stream (a script
+// statement's tokens stop before their `;`) it is EOF.
 func (p *parser) cur() token {
-	if p.i >= len(p.toks) {
-		return p.toks[len(p.toks)-1] // EOF sentinel
+	if p.i < len(p.toks) {
+		return p.toks[p.i]
 	}
-	return p.toks[p.i]
+	end := p.toks[len(p.toks)-1].end
+	return token{kind: tkEOF, pos: end, end: end}
 }
 
 func (p *parser) next() token {
@@ -103,6 +144,19 @@ func (p *parser) parseStatement() (Statement, error) {
 		return p.parseDrop()
 	case p.at(tkKeyword, "MERGE"):
 		return p.parseMergeDelta()
+	case p.accept(tkIdent, "begin"):
+		return &TxnStmt{Op: "BEGIN"}, nil
+	case p.accept(tkIdent, "commit"), p.accept(tkKeyword, "END"):
+		return &TxnStmt{Op: "COMMIT"}, nil
+	case p.accept(tkIdent, "rollback"):
+		return &TxnStmt{Op: "ROLLBACK"}, nil
+	case p.accept(tkIdent, "explain"):
+		analyze := p.accept(tkIdent, "analyze")
+		sel, err := p.parseSelect()
+		if err != nil {
+			return nil, err
+		}
+		return &ExplainStmt{Analyze: analyze, Select: sel}, nil
 	default:
 		return nil, p.errf("unsupported statement start %q", p.cur().text)
 	}
@@ -579,11 +633,12 @@ func (p *parser) parseCreate() (Statement, error) {
 		if _, err := p.expect(tkKeyword, "AS"); err != nil {
 			return nil, err
 		}
+		start := p.cur().pos
 		sel, err := p.parseSelect()
 		if err != nil {
 			return nil, err
 		}
-		return &CreateViewStmt{Name: t.text, Select: sel}, nil
+		return &CreateViewStmt{Name: t.text, Select: sel, SQL: p.src[start:p.toks[p.i-1].end]}, nil
 	default:
 		return nil, p.errf("CREATE %q not supported", p.cur().text)
 	}

@@ -54,13 +54,12 @@ func (l *slowLog) recent() []*SlowQuery {
 }
 
 // maybeRecordSlow retains the profile when it crossed the engine's
-// threshold; called on every profiled statement.
-func (e *Engine) maybeRecordSlow(sql string, prof *Profile) {
+// threshold; called on every profiled statement with its fingerprint ID.
+func (e *Engine) maybeRecordSlow(sql, fp string, prof *Profile) {
 	if prof == nil || e.SlowThreshold <= 0 || prof.Total < e.SlowThreshold {
 		return
 	}
 	prof.SQL = sql
-	fp, _ := Fingerprint(sql)
 	e.slow.add(&SlowQuery{SQL: sql, Fingerprint: fp, When: time.Now(),
 		Total: prof.Total, Profile: prof})
 	e.Obs.Counter("sql_slow_queries_total").Inc()

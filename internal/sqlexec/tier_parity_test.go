@@ -23,7 +23,7 @@ func TestTierParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	for _, name := range []string{"orders", "items", "sales", "events", "dims"} {
+	for _, name := range []string{"orders", "items", "sales", "events", "dims", "nans"} {
 		entry := warm.Cat.MustTable(name)
 		if _, err := store.DemoteTable(entry, warm.Mgr.MinActiveTS()); err != nil {
 			t.Fatalf("demote %s: %v", name, err)

@@ -230,6 +230,18 @@ func Compare(a, b Value) int {
 	}
 }
 
+// Unordered reports whether a and b compare numerically with a NaN on
+// either side. Such a pair is neither less, equal nor greater, so an SQL
+// comparison of it holds only for <> — as in the float kernels (IEEE
+// 754). Compare itself returns 0 for such a pair.
+func Unordered(a, b Value) bool {
+	if a.K == KindString && b.K == KindString ||
+		a.K != KindFloat && b.K != KindFloat && a.K != KindString && b.K != KindString {
+		return false
+	}
+	return math.IsNaN(a.AsFloat()) || math.IsNaN(b.AsFloat())
+}
+
 // Equal reports whether two values compare equal.
 func Equal(a, b Value) bool { return Compare(a, b) == 0 }
 
